@@ -99,7 +99,49 @@ def _kp(rs, i, coords, dp):
 
 
 def lusztig_q(rs: RootSystem, lam: Weight, mu: Weight) -> LaurentPoly:
-    """M_lam^mu(v) = sum_{w in W} (-1)^{len(w)} P_{w(lam+rho) - (mu+rho)}(v)."""
+    """M_lam^mu(v) = sum_{w in W} (-1)^{len(w)} P_{w(lam+rho) - (mu+rho)}(v),
+    summed by a pruned walk down the W-orbit of lam+rho instead of over W.
+
+    From a weight x of the orbit the walk steps to s_i(x) = x - x[i] alpha_i
+    only where x[i] > 0; each such step lengthens the Weyl element by one,
+    so the walk goes by levels and a weight first seen at level l has
+    length l and sign (-1)^l.  Every step lowers x in the dominance order,
+    and every orbit weight is reached along a reduced word, so the weights
+    x >= mu+rho (the only ones with P_{x-(mu+rho)} != 0) form an upward
+    closed set: a weight not >= mu+rho is pruned with all that lies below it.
+    The simple-root coordinates of x - (mu+rho) are carried along; a step at
+    i subtracts x[i] from coordinate i.
+    """
+    rho = rs.rho
+    start = rs.add(lam, rho)
+    target = rs.add(mu, rho)
+    coords = rs.root_coords_int(rs.sub(lam, mu))
+    if coords is None or any(c < 0 for c in coords):
+        return ZERO
+    total = ZERO
+    level = [(start, coords)]
+    seen = {start}
+    sign = 1
+    while level:
+        nxt = []
+        for x, c in level:
+            p = kostant_partition(rs, rs.sub(x, target))
+            total = total + (p if sign > 0 else -p)
+            for i, a in enumerate(x):
+                if a <= 0 or c[i] < a:
+                    continue
+                y = tuple(b - a * r for b, r in zip(x, rs.simple_roots[i]))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append((y, c[:i] + (c[i] - a,) + c[i + 1:]))
+        level = nxt
+        sign = -sign
+    return total
+
+
+def lusztig_q_wsum(rs: RootSystem, lam: Weight, mu: Weight) -> LaurentPoly:
+    """Oracle for lusztig_q: the alternating sum over all of W, enumerated.
+    Meant for tests in low rank."""
     rho = rs.rho
     shifted = rs.add(lam, rho)
     target = rs.add(mu, rho)
@@ -148,7 +190,11 @@ def _dominant_mult_table(rs: RootSystem, lam: Weight) -> dict:
                 k += 1
         denom = lam_norm - rs.inner(rs.add(mu, rho), rs.add(mu, rho))
         val = num / denom
-        assert val.denominator == 1 and val >= 0
+        if val.denominator != 1 or val < 0:
+            raise AssertionError(
+                f"Freudenthal multiplicity {val} at {mu} in M({lam}) is not "
+                "a nonnegative integer"
+            )
         if val:
             table[mu] = int(val)
     memo[lam] = table
@@ -200,7 +246,10 @@ def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> CharacterMultis
         sign = -1 if v.length % 2 else 1
         out[nu] = out.get(nu, 0) + sign * mult
     out = {nu: c for nu, c in out.items() if c}
-    assert all(c > 0 for c in out.values())
+    if any(c < 0 for c in out.values()):
+        raise AssertionError(
+            f"negative multiplicity in the decomposition of {lam} x {mu}"
+        )
     return CharacterMultiset.of(rs, out, WEYL_BASIS)
 
 

@@ -45,13 +45,17 @@ def parse_weight(rs: RootSystem, text: str):
         coords = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"bad weight literal {text!r}: {exc}") from None
-    if (
-        not isinstance(coords, list)
-        or len(coords) != rs.rank
-        or not all(isinstance(c, int) for c in coords)
-    ):
+    if not _is_int_list(coords, rs.rank):
         raise CliError(f"weight {text!r} must be {rs.rank} integers")
     return tuple(coords)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x, length) -> bool:
+    return isinstance(x, list) and len(x) == length and all(map(_is_int, x))
 
 
 def parse_element(rs: RootSystem, text: str) -> AffineElement:
@@ -124,12 +128,21 @@ def load_character(rs: RootSystem, path: str) -> CharacterMultiset:
         raise CliError(f"cannot read character file {path}: {exc}") from None
     if not isinstance(doc, dict) or "basis" not in doc or "mults" not in doc:
         raise CliError("character file needs 'basis' and 'mults' fields")
+    if not isinstance(doc["mults"], list):
+        raise CliError("character file 'mults' must be a list")
     mults = {}
     for rec in doc["mults"]:
-        w = tuple(rec["weight"])
-        if len(w) != rs.rank:
-            raise CliError(f"character weight {w} has wrong rank")
-        mults[w] = mults.get(w, 0) + int(rec["count"])
+        if not isinstance(rec, dict) or "weight" not in rec or "count" not in rec:
+            raise CliError(
+                f"character record {rec!r} needs 'weight' and 'count' fields"
+            )
+        w, count = rec["weight"], rec["count"]
+        if not _is_int_list(w, rs.rank):
+            raise CliError(f"character weight {w!r} must be {rs.rank} integers")
+        if not _is_int(count):
+            raise CliError(f"character count {count!r} must be an integer")
+        w = tuple(w)
+        mults[w] = mults.get(w, 0) + count
     try:
         return CharacterMultiset.of(rs, mults, doc["basis"])
     except ValueError as exc:
@@ -230,46 +243,71 @@ def _cache_path(args):
     return None
 
 
-def load_cache(rs: RootSystem, path):
+def _read_cache_doc(path):
+    """The cache document at path, or None if it is missing, unreadable or
+    of another version."""
     if not path or not os.path.exists(path):
-        return
+        return None
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError):
-        return
+        return None
     if not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION:
-        return
-    table = doc.get("kostant", {}).get(rs.spec, {})
+        return None
+    if not isinstance(doc.get("kostant", {}), dict):
+        return None
+    return doc
+
+
+def _is_pair_list(pairs) -> bool:
+    return isinstance(pairs, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
+        for p in pairs
+    )
+
+
+def load_cache(rs: RootSystem, path) -> int:
+    """Fill the Kostant memo of rs from the cache file; malformed entries are
+    skipped.  Returns the memo size afterwards, for save_cache."""
     memo = rs.memo("kostant")
+    doc = _read_cache_doc(path)
+    table = doc.get("kostant", {}).get(rs.spec) if doc else None
+    if not isinstance(table, dict):
+        return len(memo)
     for key, pairs in table.items():
         try:
             mu = tuple(int(t) for t in key.split(","))
-            if len(mu) != rs.rank:
-                continue
-            memo[mu] = LaurentPoly.from_pairs(pairs)
-        except (ValueError, TypeError):
+        except ValueError:
             continue
+        if len(mu) == rs.rank and _is_pair_list(pairs):
+            memo[mu] = LaurentPoly.from_pairs(pairs)
+    return len(memo)
 
 
-def save_cache(rs: RootSystem, path):
-    if not path:
+def save_cache(rs: RootSystem, path, loaded: int):
+    """Merge the Kostant memo of rs into the cache file, if it holds more
+    than the `loaded` entries load_cache left in it.  The file is replaced
+    atomically, so a reader never sees a partial document."""
+    memo = rs.memo("kostant")
+    if not path or len(memo) <= loaded:
         return
-    doc = {"version": CACHE_VERSION, "kostant": {}}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                old = json.load(fh)
-            if isinstance(old, dict) and old.get("version") == CACHE_VERSION:
-                doc = old
-        except (OSError, json.JSONDecodeError):
-            pass
-    table = doc.setdefault("kostant", {}).setdefault(rs.spec, {})
-    for mu, poly in rs.memo("kostant").items():
+    doc = _read_cache_doc(path) or {"version": CACHE_VERSION}
+    kostant = doc.setdefault("kostant", {})
+    table = kostant.get(rs.spec)
+    if not isinstance(table, dict):
+        table = kostant[rs.spec] = {}
+    for mu, poly in memo.items():
         table[",".join(str(c) for c in mu)] = poly.pairs()
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +329,7 @@ def cmd_rootinfo(rs, args):
         "rank": rs.rank,
         "cartan_matrix": [list(r) for r in rs.cartan_matrix],
         "positive_roots": pos,
-        "weyl_order": len(rs.weyl_group()),
+        "weyl_order": rs.weyl_order(),
         "omega_order": len(affweyl.omega_elements(rs)),
         "components": comps,
     }
@@ -524,13 +562,13 @@ def run(argv) -> int:
                 return 2
             args.weight = args.rest[0]
     cache_path = _cache_path(args)
-    load_cache(rs, cache_path)
+    loaded = load_cache(rs, cache_path)
     try:
         code = args.fn(rs, args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    save_cache(rs, cache_path)
+    save_cache(rs, cache_path, loaded)
     return code
 
 

@@ -330,7 +330,11 @@ class RootSystem:
             mat = self.mat_mul(self.simple_reflection_matrix(i), mat)
             steps += 1
         v = WeylElement(mat, steps)
-        assert self.weyl_length(mat) == steps
+        if self.weyl_length(mat) != steps:
+            raise AssertionError(
+                f"dominant_rep of {lam}: {steps} reflections but length "
+                f"{self.weyl_length(mat)}"
+            )
         res = (cur, v, steps)
         memo[lam] = res
         return res
@@ -406,10 +410,21 @@ class RootSystem:
             frontier = nxt
         return sorted(seen)
 
+    def weyl_order(self) -> int:
+        """|W| by Macdonald's formula prod_{alpha>0} (ht alpha + 1) / ht alpha,
+        without enumerating W."""
+        num = den = 1
+        for r in self.positive_roots:
+            h = sum(r.root_coords)
+            num *= h + 1
+            den *= h
+        return num // den
+
     def longest_element(self) -> WeylElement:
+        """w_0, the minimal v with v(-rho) = rho (-rho is regular)."""
         key = "longest"
         if key not in self._cache:
-            self._cache[key] = max(self.weyl_group(), key=lambda w: w.length)
+            self._cache[key] = self.dominant_rep(self.neg(self.rho))[1]
         return self._cache[key]
 
     def minus_w0(self, lam: Weight) -> Weight:

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exotictilt import charring as ch
 from exotictilt.charring import CharacterMultiset
@@ -68,6 +69,57 @@ def test_lusztig_support(a2, b2):
             for mu in itertools.product(range(3), repeat=2):
                 if ch.lusztig_q(rs, lam, mu):
                     assert rs.dominance_leq(mu, lam)
+
+
+LOW_RANK_SPECS = ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "A1xA1"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lusztig_orbit_walk_matches_wsum(data):
+    """The pruned orbit walk against the W-sum oracle, for any mu.  Outside
+    lam + Z.Phi both are 0; for non-dominant mu they need not be, but at
+    v = 1 both give the weight multiplicity (Kostant's formula)."""
+    rs = get_rs(data.draw(st.sampled_from(LOW_RANK_SPECS)))
+    lam = tuple(data.draw(st.lists(st.integers(0, 2), min_size=rs.rank,
+                                   max_size=rs.rank)))
+    mu = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=rs.rank,
+                                  max_size=rs.rank)))
+    got = ch.lusztig_q(rs, lam, mu)
+    assert got == ch.lusztig_q_wsum(rs, lam, mu), (rs.spec, lam, mu)
+    if rs.root_coords_int(rs.sub(lam, mu)) is None:
+        assert got == ZERO
+    assert got(1) == ch.freudenthal_mult(rs, lam, mu)
+
+
+def test_lusztig_off_lattice_and_non_dominant(a2):
+    for q in (ch.lusztig_q, ch.lusztig_q_wsum):
+        assert q(a2, (1, 0), (0, 0)) == ZERO              # not in lam + Z.Phi
+        assert q(a2, (1, 1), (-1, 2)) == LaurentPoly({1: 1})   # mu = alpha_2
+        assert q(a2, (0, 0), (0, -3)) == LaurentPoly({0: 1, 1: -1, 2: -1, 3: 1})
+
+
+@pytest.mark.parametrize("spec", ["A4", "B4", "C4", "D4", "F4"])
+def test_lusztig_orbit_walk_rank_4_fundamental(spec):
+    rs = get_rs(spec)
+    zero = rs.zero()
+    for i in range(rs.rank):
+        lam = tuple(int(j == i) for j in range(rs.rank))
+        assert ch.lusztig_q(rs, lam, zero) == ch.lusztig_q_wsum(rs, lam, zero), \
+            (spec, lam)
+
+
+def test_kp_recursion_direct(b2):
+    """The recursive Kostant recursion on simple-root coordinates, with
+    a = alpha_1 long and b = alpha_2 short; positive roots a, b, a+b, a+2b."""
+    dp = {}
+    assert ch._kp(b2, len(b2.positive_roots) - 1, (0, 0), dp) == ONE
+    # a + b: {a, b} or {a+b}
+    assert ch._kp(b2, len(b2.positive_roots) - 1, (1, 1), dp) == \
+        LaurentPoly({1: 1, 2: 1})
+    # a + 2b: {a, b, b}, {a+b, b}, {a+2b}
+    assert ch._kp(b2, len(b2.positive_roots) - 1, (1, 2), dp) == \
+        LaurentPoly({1: 1, 2: 1, 3: 1})
 
 
 def test_freudenthal_examples(a1, a2):

@@ -188,3 +188,98 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "m[1] + v*m[-1]"
+
+
+def test_rootinfo_e8_closed_form():
+    """|W(E8)| comes from Macdonald's formula, not from enumerating W."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "exotictilt.cli", "rootinfo", "E8", "--json"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["weyl_order"] == 696729600
+
+
+def _tilt_std_a2(tmp_path, capsys, mults):
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps({"basis": "Weyl", "mults": mults}))
+    return run_cli(capsys, "tilt", "std", "A2", str(path), "[0,0]")
+
+
+def test_character_record_without_weight_exits_2(tmp_path, capsys):
+    code, _, err = _tilt_std_a2(tmp_path, capsys, [{"count": 1}])
+    assert code == 2 and "weight" in err
+
+
+def test_character_fractional_weight_exits_2(tmp_path, capsys):
+    code, _, err = _tilt_std_a2(tmp_path, capsys,
+                                [{"weight": [1.5, 0], "count": 1}])
+    assert code == 2 and "integers" in err
+
+
+def test_character_bool_weight_exits_2(tmp_path, capsys):
+    code, _, err = _tilt_std_a2(tmp_path, capsys,
+                                [{"weight": [True, 0], "count": 1}])
+    assert code == 2 and "integers" in err
+
+
+def test_character_bad_count_exits_2(tmp_path, capsys):
+    for count in (True, 1.5, "1", None):
+        code, _, err = _tilt_std_a2(tmp_path, capsys,
+                                    [{"weight": [1, 1], "count": count}])
+        assert code == 2 and "count" in err, count
+
+
+def test_character_mults_not_a_list_exits_2(tmp_path, capsys):
+    code, _, err = _tilt_std_a2(tmp_path, capsys,
+                                {"weight": [1, 1], "count": 1})
+    assert code == 2 and "list" in err
+    code, _, err = _tilt_std_a2(tmp_path, capsys, [[1, 1]])
+    assert code == 2 and "record" in err
+
+
+def test_parse_weight_rejects_bools(capsys):
+    code, _, err = run_cli(capsys, "qanalogue", "A2", "[true,0]", "[0,0]")
+    assert code == 2 and "integers" in err
+
+
+def test_cache_not_rewritten_when_unchanged(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    argv = ("qanalogue", "B2", "[2,2]", "[0,0]", "--cache", str(cache))
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    before = (cache.read_bytes(), cache.stat().st_mtime_ns)
+    code, again, _ = run_cli(capsys, *argv)
+    assert (code, again) == (0, first)
+    assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+def test_cache_malformed_entries_ignored(tmp_path, capsys):
+    argv = ("qanalogue", "B2", "[2,2]", "[0,0]")
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == 0
+    cache = tmp_path / "cache.json"
+    run_cli(capsys, *argv, "--cache", str(cache))
+    doc = json.loads(cache.read_text())
+    needed = sorted(doc["kostant"]["B2"])
+    assert needed
+    for bad in ([[True, 1]], [[1.5, 1]], [[1, 2, 3]], "v", [[1, None]], [5]):
+        table = {key: bad for key in needed}
+        table.update({"x,1": [[0, 1]], "1": [[0, 1]]})
+        doc["kostant"]["B2"] = table
+        cache.write_text(json.dumps(doc))
+        code, warm, _ = run_cli(capsys, *argv, "--cache", str(cache))
+        assert (code, warm) == (0, cold), bad
+
+
+def test_cache_with_malformed_sections_ignored(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    for doc in ({"version": cli.CACHE_VERSION, "kostant": []},
+                {"version": cli.CACHE_VERSION, "kostant": {"A1": [1]}},
+                [1, 2]):
+        cache.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "qanalogue", "A1", "[2]", "[0]",
+                               "--cache", str(cache))
+        assert (code, out) == (0, "v")
+        assert json.loads(cache.read_text())["kostant"]["A1"]

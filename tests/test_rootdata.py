@@ -115,6 +115,24 @@ def test_weyl_length_counts_inversions():
             assert w.length == inv
 
 
+IRREDUCIBLE_UP_TO_RANK_4 = [
+    ("A1", 1), ("A2", 2), ("B2", 2), ("C2", 2), ("G2", 2),
+    ("A3", 3), ("B3", 3), ("C3", 3),
+    ("A4", 4), ("B4", 4), ("C4", 4), ("D4", 4), ("F4", 4),
+]
+
+
+def specs_up_to_rank(bound):
+    """Every product of irreducible types with total rank <= bound."""
+    out = []
+    for k in range(1, bound + 1):
+        for combo in itertools.combinations_with_replacement(
+                IRREDUCIBLE_UP_TO_RANK_4, k):
+            if sum(n for _, n in combo) <= bound:
+                out.append("x".join(name for name, _ in combo))
+    return out
+
+
 def test_longest_element():
     for spec in ["A2", "B2", "G2", "A1xA1"]:
         rs = get_rs(spec)
@@ -123,6 +141,19 @@ def test_longest_element():
         assert sq == rs.identity_matrix
         for lam in itertools.product(range(3), repeat=rs.rank):
             assert rs.is_dominant(rs.minus_w0(lam))
+    specs = specs_up_to_rank(4)
+    assert len(specs) == 37
+    for spec in specs:
+        rs = get_rs(spec)
+        assert rs.longest_element() == max(rs.weyl_group(), key=lambda w: w.length), spec
+
+
+def test_weyl_order_macdonald_formula():
+    for spec in ["A1xA1", "A2", "A4", "B3", "C4", "D4", "G2", "F4", "B2xG2"]:
+        rs = get_rs(spec)
+        assert rs.weyl_order() == len(rs.weyl_group()), spec
+    for spec, order in [("E6", 51840), ("E7", 2903040), ("E8", 696729600)]:
+        assert build_root_system(spec).weyl_order() == order
 
 
 def test_weyl_bound():
