@@ -102,26 +102,31 @@ def lusztig_q(rs: RootSystem, lam: Weight, mu: Weight) -> LaurentPoly:
     """M_lam^mu(v) = sum_{w in W} (-1)^{len(w)} P_{w(lam+rho) - (mu+rho)}(v),
     summed by a pruned walk down the W-orbit of lam+rho instead of over W.
 
-    From a weight x of the orbit the walk steps to s_i(x) = x - x[i] alpha_i
-    only where x[i] > 0; each such step lengthens the Weyl element by one,
-    so the walk goes by levels and a weight first seen at level l has
-    length l and sign (-1)^l.  Every step lowers x in the dominance order,
-    and every orbit weight is reached along a reduced word, so the weights
-    x >= mu+rho (the only ones with P_{x-(mu+rho)} != 0) form an upward
-    closed set: a weight not >= mu+rho is pruned with all that lies below it.
-    The simple-root coordinates of x - (mu+rho) are carried along; a step at
-    i subtracts x[i] from coordinate i.
+    The walk starts at the dominant weight d = u(lam+rho) of the orbit, u
+    minimal; reindexing the sum by w u^{-1} multiplies it by (-1)^{len(u)}.
+    If d is singular (some d[i] = 0), s_i fixes it and the terms cancel in
+    pairs, so the sum is 0.  Otherwise, from a weight x of the orbit the walk
+    steps to s_i(x) = x - x[i] alpha_i only where x[i] > 0; each such step
+    lengthens the Weyl element by one, so the walk goes by levels and a
+    weight first seen at level l has length l and sign (-1)^l.  Every step
+    lowers x in the dominance order, and every orbit weight is reached along
+    a reduced word, so the weights x >= mu+rho (the only ones with
+    P_{x-(mu+rho)} != 0) form an upward closed set: a weight not >= mu+rho is
+    pruned with all that lies below it.  The simple-root coordinates of
+    x - (mu+rho) are carried along; a step at i subtracts x[i] from
+    coordinate i.
     """
-    rho = rs.rho
-    start = rs.add(lam, rho)
-    target = rs.add(mu, rho)
-    coords = rs.root_coords_int(rs.sub(lam, mu))
+    target = rs.add(mu, rs.rho)
+    start, _, steps = rs.dominant_rep(rs.add(lam, rs.rho))
+    if 0 in start:
+        return ZERO
+    coords = rs.root_coords_int(rs.sub(start, target))
     if coords is None or any(c < 0 for c in coords):
         return ZERO
     total = ZERO
     level = [(start, coords)]
     seen = {start}
-    sign = 1
+    sign = -1 if steps % 2 else 1
     while level:
         nxt = []
         for x, c in level:

@@ -243,6 +243,15 @@ def test_parse_weight_rejects_bools(capsys):
     assert code == 2 and "integers" in err
 
 
+def test_qanalogue_non_dominant_lam(capsys):
+    """The W-sum is defined for every lam: singular lam + rho gives 0, and a
+    regular non-dominant one the signed sum from its dominant representative."""
+    code, out, _ = run_cli(capsys, "qanalogue", "A1", "[-1]", "[-1]")
+    assert (code, out) == (0, "0")
+    code, out, _ = run_cli(capsys, "qanalogue", "A1", "[-2]", "[-2]")
+    assert (code, out) == (0, "-v + 1")
+
+
 def test_cache_not_rewritten_when_unchanged(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     argv = ("qanalogue", "B2", "[2,2]", "[0,0]", "--cache", str(cache))
