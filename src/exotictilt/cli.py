@@ -17,6 +17,7 @@ EXOTIC_CACHE_DIR environment variable; stale versions are ignored.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -476,7 +477,9 @@ def cmd_verify(rs, args):
 # Argument parsing and dispatch
 
 
+@functools.cache
 def build_parser():
+    """The argument parser; built once, since parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit JSON on stdout")
@@ -519,25 +522,28 @@ def build_parser():
     add("gamma", cmd_gamma, ("lam", {}), ("nu", {}))
 
     pt = sub.add_parser("tilt", parents=[common])
-    pt.add_argument("kind", choices=["std", "costd", "dominant"])
-    pt.add_argument("spec")
-    pt.add_argument("--tilt-char", dest="tilt_char")
-    pt.add_argument("rest", nargs="+")
     pt.set_defaults(fn=cmd_tilt)
+    tilt_sub = pt.add_subparsers(dest="kind", required=True)
+    for kind in ("std", "costd", "dominant"):
+        p = tilt_sub.add_parser(kind, parents=[common])
+        p.add_argument("spec")
+        if kind == "dominant":
+            p.add_argument("--tilt-char", dest="tilt_char")
+        else:
+            p.add_argument("charfile")
+        p.add_argument("weight")
 
     add("reconcile", cmd_reconcile, ("charfile", {}))
 
     pv = add("verify", cmd_verify)
     pv.add_argument("--radius", type=int, default=2)
-    pv.add_argument("--suite", default="all",
-                    choices=["bernstein", "module", "order", "all"])
+    pv.add_argument("--suite", default="all", choices=[*verify.SUITES, "all"])
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args.json = getattr(args, "json", False)
@@ -548,19 +554,6 @@ def run(argv) -> int:
     except RootSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "tilt":
-        if args.kind in ("std", "costd"):
-            if len(args.rest) != 2:
-                print("error: tilt std|costd <spec> <charfile> <weight>",
-                      file=sys.stderr)
-                return 2
-            args.charfile, args.weight = args.rest
-        else:
-            if len(args.rest) != 1:
-                print("error: tilt dominant <spec> <weight> [--tilt-char file]",
-                      file=sys.stderr)
-                return 2
-            args.weight = args.rest[0]
     cache_path = _cache_path(args)
     loaded = load_cache(rs, cache_path)
     try:

@@ -17,65 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .laurent import LaurentPoly, ONE, VINV_MINUS_V, V_MINUS_VINV
+from .laurent import Combination, ONE, VINV_MINUS_V, V_MINUS_VINV, _accumulate
 from .rootdata import RootSystem, Weight
 from . import affweyl
 from .affweyl import AffineElement, aff_length, aff_mul, simple_generators
 
 
-class HeckeElement:
-    """Finite Z[v,v^-1]-linear combination of basis elements T_x."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {x: p for x, p in (terms or {}).items() if p}
-
-    @classmethod
-    def basis(cls, x: AffineElement) -> "HeckeElement":
-        return cls({x: ONE})
-
-    @classmethod
-    def zero(cls) -> "HeckeElement":
-        return cls()
-
-    def __eq__(self, other):
-        return isinstance(other, HeckeElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for x, p in other.terms.items():
-            _add_term(out, x, p)
-        return HeckeElement(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for x, p in other.terms.items():
-            _add_term(out, x, -p)
-        return HeckeElement(out)
-
-    def scale(self, poly) -> "HeckeElement":
-        if isinstance(poly, int):
-            poly = LaurentPoly({0: poly})
-        return HeckeElement({x: p * poly for x, p in self.terms.items()})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"HeckeElement({len(self.terms)} terms)"
-
-
-def _add_term(out, x, p):
-    s = out.get(x)
-    s = p if s is None else s + p
-    if s:
-        out[x] = s
-    else:
-        out.pop(x, None)
+HeckeElement = Combination   # linear combinations of basis elements T_x
 
 
 def T(rs: RootSystem, x: AffineElement) -> HeckeElement:
@@ -96,11 +44,9 @@ def mul_gen(rs, xi: HeckeElement, gid: int, side="right") -> HeckeElement:
     out = {}
     for x, p in xi.terms.items():
         y = aff_mul(rs, x, g) if side == "right" else aff_mul(rs, g, x)
-        if aff_length(rs, y) > aff_length(rs, x):
-            _add_term(out, y, p)
-        else:
-            _add_term(out, y, p)
-            _add_term(out, x, p * VINV_MINUS_V)
+        _accumulate(out, y, p)
+        if aff_length(rs, y) <= aff_length(rs, x):
+            _accumulate(out, x, p * VINV_MINUS_V)
     return HeckeElement(out)
 
 
@@ -113,7 +59,7 @@ def mul_omega(rs, xi: HeckeElement, omega: AffineElement, side="right"):
     out = {}
     for x, p in xi.terms.items():
         y = aff_mul(rs, x, omega) if side == "right" else aff_mul(rs, omega, x)
-        _add_term(out, y, p)
+        _accumulate(out, y, p)
     return HeckeElement(out)
 
 

@@ -1,8 +1,9 @@
-"""Sparse Laurent polynomials in one variable v, with exact integer coefficients.
+"""Sparse Laurent polynomials in one variable v, with exact integer
+coefficients, and finite Z[v,v^-1]-combinations of basis keys.
 
-Coefficients live in a plain dict {exponent: coefficient}; zero coefficients
-are never stored.  Instances are immutable by convention: all operations
-return fresh objects.
+Coefficients live in a plain dict {exponent: coefficient} (or {key: poly});
+zeros are never stored.  Instances are immutable by convention: all
+operations return fresh objects.
 """
 
 from __future__ import annotations
@@ -154,3 +155,66 @@ V = LaurentPoly({1: 1})
 VINV = LaurentPoly({-1: 1})
 VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
+
+
+class Combination:
+    """Finite Z[v,v^-1]-linear combination of hashable basis keys: the
+    elements T_x of the Hecke algebra (``heckebraid.HeckeElement``) and the
+    classes m_lam of the K-module (``exotic_k.KClass``)."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: p for k, p in (terms or {}).items() if p}
+
+    @classmethod
+    def basis(cls, key) -> "Combination":
+        return cls({key: ONE})
+
+    @classmethod
+    def zero(cls) -> "Combination":
+        return cls()
+
+    def __eq__(self, other):
+        return isinstance(other, Combination) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, p in other.terms.items():
+            _accumulate(out, k, p)
+        return Combination(out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for k, p in other.terms.items():
+            _accumulate(out, k, -p)
+        return Combination(out)
+
+    def scale(self, poly) -> "Combination":
+        """Multiply every coefficient by a LaurentPoly or an int."""
+        return Combination({k: p * poly for k, p in self.terms.items()})
+
+    def coefficient(self, key) -> LaurentPoly:
+        return self.terms.get(key, ZERO)
+
+    def is_nonneg(self) -> bool:
+        return all(p.is_nonneg() for p in self.terms.values())
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __repr__(self):
+        return f"Combination({len(self.terms)} terms)"
+
+
+def _accumulate(out, key, p):
+    """out[key] += p in a {key: poly} dict, dropping the key when the sum is 0."""
+    s = out.get(key)
+    s = p if s is None else s + p
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)

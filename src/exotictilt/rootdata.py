@@ -115,7 +115,7 @@ def _validate_cartan(a) -> None:
     # positive-definite symmetrization: leading principal minors of D*A
     sym = [[d[i] * a[i][j] for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        if _det_fraction([row[:k] for row in sym[:k]]) <= 0:
+        if determinant([row[:k] for row in sym[:k]]) <= 0:
             raise RootSystemError("Cartan symmetrization not positive definite")
 
 
@@ -150,7 +150,8 @@ def _gcd(a, b):
     return abs(a)
 
 
-def _det_fraction(rows):
+def determinant(rows) -> Fraction:
+    """Exact determinant of a square matrix of integers or Fractions."""
     m = [[Fraction(x) for x in row] for row in rows]
     n = len(m)
     det = Fraction(1)

@@ -9,8 +9,9 @@ from __future__ import annotations
 import random
 
 from .laurent import LaurentPoly, VINV
-from .rootdata import RootSystem
-from . import affweyl, exotic_k, heckebraid
+from .rootdata import RootSystem, determinant
+from . import affweyl, exotic_k, heckebraid, tiltmult
+from .charring import CharacterMultiset, WEYL_BASIS
 from .affweyl import aff_length, aff_mul, simple_generators, t_lambda
 from .heckebraid import HeckeElement, Report
 
@@ -71,7 +72,7 @@ def suite_order(rs: RootSystem, radius: int, seed: int = 0):
 
     omega_rep = Report(f"omega-group[{rs.spec}]")
     oms = list(affweyl.omega_elements(rs).values())
-    det = int(_det_int(rs.cartan_matrix))
+    det = int(determinant(rs.cartan_matrix))
     omega_rep.check(len(oms) == det, f"|Omega| = {len(oms)} != det A = {det}")
     for a in oms:
         for b in oms:
@@ -80,12 +81,6 @@ def suite_order(rs: RootSystem, radius: int, seed: int = 0):
                 aff_length(rs, ab) == 0 and ab == ba, "Omega not abelian"
             )
     return [lengths, order_rep, omega_rep]
-
-
-def _det_int(matrix):
-    from .rootdata import _det_fraction
-
-    return _det_fraction([list(r) for r in matrix])
 
 
 def suite_module(rs: RootSystem, radius: int, seed: int = 0):
@@ -183,16 +178,67 @@ def _word_elt(rs, gids) -> HeckeElement:
     return xi
 
 
+def suite_anchors(rs: RootSystem, radius: int, seed: int = 0):
+    """The invariants the K-module and the tilting classes rest on: the case
+    split of the basis action, the minimality of w_lambda, the line-bundle
+    anchors and the tensor oracle for dominant tilting classes."""
+    box = affweyl.weight_box(rs, radius)
+    gens = simple_generators(rs)
+    order = affweyl.generator_order(rs)
+
+    cases = Report(f"gen-action-cases[{rs.spec}, radius {radius}]")
+    minimal = Report(f"w-lambda-minimal[{rs.spec}, radius {radius}]")
+    lines = Report(f"line-bundle-anchors[{rs.spec}, radius {radius}]")
+    for lam in box:
+        w, _ = affweyl.w_lambda(rs, lam)
+        wlen = aff_length(rs, w)
+        # m_lam . T_s: u = w_lam s is minimal in its coset exactly when the
+        # step leaves the coset of lam
+        for gid in order:
+            u = aff_mul(rs, w, gens[gid])
+            if u.t == lam:
+                case = "coset-stable"
+            elif aff_length(rs, u) == wlen + 1:
+                case = "ascent"
+            else:
+                case = "descent"
+            cases.check(
+                (u == affweyl.w_lambda(rs, u.t)[0]) == (u.t != lam),
+                f"{case} step at lam={lam}, s={gid}",
+            )
+        minimal.check(
+            all(aff_length(rs, aff_mul(rs, gens[i + 1], w)) > wlen
+                for i in range(rs.rank)),
+            f"w_lambda has a finite left descent at lam={lam}",
+        )
+        line = exotic_k.line_bundle_class(rs, lam)
+        if rs.is_dominant(lam):
+            lines.check(line == exotic_k.KClass.basis(lam),
+                        f"dominant anchor fails at lam={lam}")
+        if all(a <= 0 for a in lam):
+            dl = exotic_k.delta_class(rs, lam).scale(LaurentPoly.v(rs.delta(lam)))
+            lines.check(line == dl, f"antidominant anchor fails at lam={lam}")
+
+    tensor = Report(f"tilting-tensor-oracle[{rs.spec}, radius {min(radius, 2)}]")
+    for lam in affweyl.dominant_box(rs, min(radius, 2)):
+        cm = CharacterMultiset.of(rs, {lam: 1}, WEYL_BASIS)
+        rep = tiltmult.reconcile(rs, cm)
+        tensor.check(rep.matched, f"tensor oracle mismatch at lam={lam}: "
+                                  f"{rep.detail[:3]}")
+    return [cases, minimal, lines, tensor]
+
+
 SUITES = {
     "bernstein": suite_bernstein,
     "module": suite_module,
     "order": suite_order,
+    "anchors": suite_anchors,
 }
 
 
 def run_suites(rs: RootSystem, which: str, radius: int, seed: int = 0):
     if which == "all":
-        names = ["bernstein", "module", "order"]
+        names = list(SUITES)
     elif which in SUITES:
         names = [which]
     else:

@@ -292,3 +292,23 @@ def test_cache_with_malformed_sections_ignored(tmp_path, capsys):
                                "--cache", str(cache))
         assert (code, out) == (0, "v")
         assert json.loads(cache.read_text())["kostant"]["A1"]
+
+
+def test_parser_state_does_not_leak_between_runs(capsys):
+    code, out, _ = run_cli(capsys, "qanalogue", "A2", "[1,1]", "[0,0]",
+                           "--json", "--seed", "3")
+    assert (code, json.loads(out)) == (0, [[1, 1], [2, 1]])
+    code, out, _ = run_cli(capsys, "qanalogue", "A2", "[1,1]", "[0,0]")
+    assert (code, out) == (0, "v^2 + v")
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_tilt_arity_errors_exit_2(tmp_path, capsys):
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps(
+        {"basis": "Weyl", "mults": [{"weight": [1], "count": 1}]}))
+    for argv in (("tilt", "std", "A1", str(path)),
+                 ("tilt", "dominant", "A1"),
+                 ("tilt", "dominant", "A1", "[1]", "[2]")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "usage" in err and "Traceback" not in err, argv

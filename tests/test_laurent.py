@@ -1,6 +1,7 @@
 from hypothesis import given, strategies as st
 
-from exotictilt.laurent import LaurentPoly, ONE, V, VINV, ZERO
+from exotictilt import HeckeElement, KClass
+from exotictilt.laurent import Combination, LaurentPoly, ONE, V, VINV, ZERO
 
 polys = st.dictionaries(
     st.integers(-5, 5), st.integers(-9, 9), max_size=5
@@ -59,3 +60,20 @@ def test_ring_axioms(p, q, r):
 def test_no_zero_coefficients_stored(p):
     assert all(c != 0 for c in p.c.values())
     assert p - p == ZERO
+
+
+def test_combination_is_the_one_sparse_type():
+    assert HeckeElement is KClass is Combination
+
+
+def test_combination_coefficient_and_positivity():
+    c = Combination.basis((1,)) + Combination.basis((-1,)).scale(V)
+    assert c.coefficient((1,)) == ONE and c.coefficient((-1,)) == V
+    assert c.coefficient((0,)) == ZERO
+    assert c.is_nonneg()
+    d = c - Combination.basis((1,)).scale(2)
+    assert d.coefficient((1,)) == LaurentPoly({0: -1})
+    assert not d.is_nonneg()
+    assert c - c == Combination.zero() and not (c - c)
+    assert hash(c) == hash(Combination({(-1,): V, (1,): ONE}))
+    assert c.scale(0) == Combination.zero()

@@ -1,6 +1,6 @@
 import pytest
 
-from exotictilt import verify
+from exotictilt import KClass, build_root_system, cli, verify
 
 from conftest import get_rs
 
@@ -29,3 +29,26 @@ def test_module_suite_deterministic_per_seed(a2):
 def test_unknown_suite_rejected(a1):
     with pytest.raises(ValueError):
         verify.run_suites(a1, "nope", radius=1)
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "B2"])
+def test_anchors_suite_passes(spec):
+    reports = verify.run_suites(get_rs(spec), "anchors", radius=2)
+    names = [r.name.split("[")[0] for r in reports]
+    assert names == ["gen-action-cases", "w-lambda-minimal",
+                     "line-bundle-anchors", "tilting-tensor-oracle"]
+    for rep in reports:
+        assert rep.passed and rep.checked, rep.summary()
+
+
+def test_anchors_suite_reports_a_rigged_line_bundle(capsys, monkeypatch):
+    rs = build_root_system("A1")
+    rs.memo("line_bundle")[(1,)] = KClass.basis((0,))
+    reports = verify.run_suites(rs, "anchors", radius=2)
+    failed = [r for r in reports if not r.passed]
+    assert [r.name.split("[")[0] for r in failed] == ["line-bundle-anchors"]
+    assert "lam=(1,)" in failed[0].failures[0]
+
+    monkeypatch.setattr(cli, "build_root_system", lambda spec: rs)
+    assert cli.run(["verify", "A1", "--suite", "anchors"]) == 1
+    assert "line-bundle-anchors[A1, radius 2]: FAIL" in capsys.readouterr().out
