@@ -20,6 +20,7 @@ of the component.  So "s0" is the affine generator of the first component.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .rootdata import RootSystem, RootSystemError, Weight
@@ -46,9 +47,10 @@ def from_weyl(rs: RootSystem, matrix) -> AffineElement:
 
 
 def aff_mul(rs: RootSystem, x: AffineElement, y: AffineElement) -> AffineElement:
-    winv = rs.mat_inv(y.w)
+    t = x.t
     return AffineElement(
-        rs.mat_mul(x.w, y.w), rs.add(rs.apply(winv, x.t), y.t)
+        rs.mat_mul(x.w, y.w),
+        tuple([sum(map(mul, row, t)) + b for row, b in zip(rs.mat_inv(y.w), y.t)]),
     )
 
 
@@ -57,20 +59,20 @@ def aff_inv(rs: RootSystem, x: AffineElement) -> AffineElement:
 
 
 def aff_length(rs: RootSystem, x: AffineElement) -> int:
+    """sum over alpha > 0 of |<t, alpha_vee> + [w(alpha) < 0]|."""
     memo = rs.memo("aff_length")
     res = memo.get(x)
     if res is not None:
         return res
-    pos = {r.coords for r in rs.positive_roots}
-    total = 0
-    for r in rs.positive_roots:
-        pair = rs.pairing(x.t, r)
-        if rs.apply(x.w, r.coords) in pos:
-            total += abs(pair)
-        else:
-            total += abs(1 + pair)
-    memo[x] = total
-    return total
+    flag_memo = rs.memo("inversion_flags")
+    flags = flag_memo.get(x.w)
+    if flags is None:
+        flags = flag_memo[x.w] = rs.inversion_flags(x.w)
+    t = x.t
+    res = memo[x] = sum(
+        [abs(sum(map(mul, row, t)) + f) for row, f in zip(rs.coroot_rows, flags)]
+    )
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +163,10 @@ def omega_decompose(rs: RootSystem, x: AffineElement):
 
 
 def coset_class_key(rs: RootSystem, lam: Weight):
-    """Canonical key of the class of lam in X / Z.Phi."""
-    return tuple(x - x.__floor__() for x in rs.root_coords(lam))
+    """Canonical key of the class of lam in X / Z.Phi: det A times its
+    simple-root coordinates, modulo det A."""
+    det = rs.cartan_det
+    return tuple([sum(map(mul, row, lam)) % det for row in rs.cartan_adjugate])
 
 
 def omega_elements(rs: RootSystem) -> dict:

@@ -172,7 +172,7 @@ def _dominant_mult_table(rs: RootSystem, lam: Weight) -> dict:
         return table
     if not rs.is_dominant(lam):
         raise ValueError("Freudenthal table needs a dominant highest weight")
-    doms = [mu for mu in rs.conv_set(lam) if rs.is_dominant(mu)]
+    doms = rs.dominant_below(lam)
     doms.sort(key=lambda mu: rs.height(rs.sub(lam, mu)))
     rho = rs.rho
     lam_norm = rs.inner(rs.add(lam, rho), rs.add(lam, rho))

@@ -477,6 +477,16 @@ def cmd_verify(rs, args):
 # Argument parsing and dispatch
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser():
     """The argument parser; built once, since parsing leaves it unchanged."""
@@ -536,7 +546,7 @@ def build_parser():
     add("reconcile", cmd_reconcile, ("charfile", {}))
 
     pv = add("verify", cmd_verify)
-    pv.add_argument("--radius", type=int, default=2)
+    pv.add_argument("--radius", type=_nonnegative_int, default=2)
     pv.add_argument("--suite", default="all", choices=[*verify.SUITES, "all"])
     return parser
 

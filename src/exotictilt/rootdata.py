@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 Weight = tuple  # tuple[int, ...]
@@ -103,7 +104,8 @@ def _cartan_matrix(letter: str, n: int):
     return tuple(tuple(row) for row in a)
 
 
-def _validate_cartan(a) -> None:
+def _validate_cartan(a) -> tuple:
+    """Check a Cartan matrix of finite type; return its symmetrizers."""
     n = len(a)
     for i in range(n):
         if a[i][i] != 2:
@@ -117,6 +119,7 @@ def _validate_cartan(a) -> None:
     for k in range(1, n + 1):
         if determinant([row[:k] for row in sym[:k]]) <= 0:
             raise RootSystemError("Cartan symmetrization not positive definite")
+    return d
 
 
 def _symmetrizers(a):
@@ -150,41 +153,42 @@ def _gcd(a, b):
     return abs(a)
 
 
-def determinant(rows) -> Fraction:
-    """Exact determinant of a square matrix of integers or Fractions."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def determinant(rows) -> int:
+    """Exact determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination: every division is exact."""
+    m = [list(row) for row in rows]
     n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+    sign, prev = 1, 1
+    for k in range(n):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot, pivot_row = m[k][k], m[k]
+        for i in range(k + 1, n):
+            row, f = m[i], m[i][k]
+            m[i] = row[:k + 1] + [
+                (x * pivot - f * y) // prev
+                for x, y in zip(row[k + 1:], pivot_row[k + 1:])
+            ]
+        prev = pivot
+    return sign * prev
 
 
-def _invert_fraction_matrix(a):
+def _adjugate(a):
+    """The integer adjugate det(a) * a^-1, from cofactors."""
     n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * determinant(
+                [row[:i] + row[i + 1:] for r, row in enumerate(a) if r != j]
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +204,11 @@ class RootSystem:
     positive_roots: tuple          # of PositiveRoot
     components: tuple              # of (indices tuple, highest_root: PositiveRoot)
     symmetrizers: tuple            # d_i with (alpha_i, alpha_i) = 2 d_i
-    cartan_inverse: tuple          # Fraction matrix, for root coordinates
+    cartan_det: int                # det A > 0
+    cartan_adjugate: Matrix        # det A * A^-1: det A * root coordinates
+    height_row: tuple              # det A * ht(lam) = <height_row, lam>
+    identity_matrix: Matrix
+    coroot_rows: tuple             # coroot functionals of the positive roots
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # -- small linear algebra -------------------------------------------------
@@ -225,27 +233,24 @@ class RootSystem:
         return tuple(-a for a in lam)
 
     def apply(self, matrix: Matrix, lam: Weight) -> Weight:
-        return tuple(sum(row[j] * lam[j] for j in range(self.rank)) for row in matrix)
+        return tuple([sum(map(mul, row, lam)) for row in matrix])
 
     def mat_mul(self, m1: Matrix, m2: Matrix) -> Matrix:
-        n = self.rank
-        return tuple(
-            tuple(sum(m1[i][k] * m2[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+        cols = tuple(zip(*m2))
+        return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in m1])
 
     def mat_inv(self, m: Matrix) -> Matrix:
+        """Inverse of a Weyl group matrix m: the minimal v with v(m rho)
+        dominant.  rho is regular, so v(m rho) = rho and v = m^-1."""
         memo = self.memo("mat_inv")
         res = memo.get(m)
         if res is None:
-            frac = _invert_fraction_matrix(m)
-            res = tuple(tuple(int(x) for x in row) for row in frac)
+            res = self.dominant_rep(self.apply(m, self.rho))[1].matrix
+            if self.mat_mul(m, res) != self.identity_matrix:
+                raise RootSystemError("mat_inv needs a Weyl group matrix")
             memo[m] = res
+            memo[res] = m
         return res
-
-    @property
-    def identity_matrix(self) -> Matrix:
-        return tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank))
 
     def simple_reflection_matrix(self, i: int) -> Matrix:
         """Matrix of s_{alpha_i} (0-based i) on fundamental coordinates."""
@@ -276,25 +281,33 @@ class RootSystem:
 
     def root_coords(self, lam: Weight):
         """Coordinates of lam in the simple-root basis, as Fractions."""
+        det = self.cartan_det
         return tuple(
-            sum(row[j] * lam[j] for j in range(self.rank)) for row in self.cartan_inverse
+            Fraction(sum(map(mul, row, lam)), det) for row in self.cartan_adjugate
         )
 
     def root_coords_int(self, lam: Weight):
         """Integer simple-root coordinates, or None if lam is not in Z.Phi."""
-        c = self.root_coords(lam)
-        if any(x.denominator != 1 for x in c):
-            return None
-        return tuple(int(x) for x in c)
+        det = self.cartan_det
+        out = []
+        for row in self.cartan_adjugate:
+            q, r = divmod(sum(map(mul, row, lam)), det)
+            if r:
+                return None
+            out.append(q)
+        return tuple(out)
 
     def height(self, lam: Weight):
         """Sum of simple-root coordinates (a Fraction for general weights)."""
-        return sum(self.root_coords(lam))
+        return Fraction(sum(map(mul, self.height_row, lam)), self.cartan_det)
 
     def inner(self, lam: Weight, mu: Weight):
         """W-invariant inner product with (alpha_i, alpha_i) = 2 d_i."""
-        c = self.root_coords(mu)
-        return sum(cj * dj * lj for cj, dj, lj in zip(c, self.symmetrizers, lam))
+        scaled = sum(
+            sum(map(mul, row, mu)) * dj * lj
+            for row, dj, lj in zip(self.cartan_adjugate, self.symmetrizers, lam)
+        )
+        return Fraction(scaled, self.cartan_det)
 
     # -- dominance -------------------------------------------------------------
 
@@ -319,17 +332,21 @@ class RootSystem:
         if res is not None:
             return res
         cur = lam
-        mat = self.identity_matrix
+        rows = list(self.identity_matrix)
         steps = 0
         while True:
             i = next((k for k, a in enumerate(cur) if a < 0), None)
             if i is None:
                 break
-            cur = tuple(
-                a - cur[i] * self.simple_roots[i][k] for k, a in enumerate(cur)
-            )
-            mat = self.mat_mul(self.simple_reflection_matrix(i), mat)
+            alpha = self.simple_roots[i]
+            cur = tuple([a - cur[i] * r for a, r in zip(cur, alpha)])
+            # s_i M as a row operation: (s_i M)[k] = M[k] - alpha_i[k] M[i]
+            row_i = rows[i]
+            for k, ak in enumerate(alpha):
+                if ak:
+                    rows[k] = tuple([x - ak * y for x, y in zip(rows[k], row_i)])
             steps += 1
+        mat = tuple(rows)
         v = WeylElement(mat, steps)
         if self.weyl_length(mat) != steps:
             raise AssertionError(
@@ -348,16 +365,18 @@ class RootSystem:
 
     # -- Weyl group --------------------------------------------------------------
 
+    def inversion_flags(self, matrix: Matrix) -> tuple:
+        """The flags [w(alpha) < 0] over the positive roots, w = matrix.
+
+        A root is negative exactly when its height is: det A * ht(beta) is
+        the column sums of the adjugate paired with beta, and
+        <w alpha, h> = <alpha, w^T h>, so one row vector u = w^T h decides
+        every root."""
+        u = [sum(map(mul, self.height_row, col)) for col in zip(*matrix)]
+        return tuple([sum(map(mul, u, r.coords)) < 0 for r in self.positive_roots])
+
     def weyl_length(self, matrix: Matrix) -> int:
-        pos = self.memo("pos_set")
-        if not pos:
-            for r in self.positive_roots:
-                pos[r.coords] = True
-        n = 0
-        for r in self.positive_roots:
-            if self.apply(matrix, r.coords) not in pos:
-                n += 1
-        return n
+        return sum(self.inversion_flags(matrix))
 
     def weyl_element(self, matrix: Matrix) -> WeylElement:
         memo = self.memo("weyl_elements")
@@ -372,6 +391,9 @@ class RootSystem:
         key = ("weyl_group", bound)
         if key in self._cache:
             return self._cache[key]
+        size = self.weyl_order()
+        if size > bound:
+            raise RootSystemError(f"Weyl group of order {size} is larger than bound {bound}")
         gens = [self.simple_reflection_matrix(i) for i in range(self.rank)]
         seen = {self.identity_matrix}
         order = [self.weyl_element(self.identity_matrix)]
@@ -385,10 +407,6 @@ class RootSystem:
                         seen.add(prod)
                         nxt.append(prod)
                         order.append(self.weyl_element(prod))
-                        if len(order) > bound:
-                            raise RootSystemError(
-                                f"Weyl group larger than bound {bound}"
-                            )
             frontier = nxt
         self._cache[key] = order
         return order
@@ -455,6 +473,29 @@ class RootSystem:
             frontier = nxt
         return sorted(seen)
 
+    def dominant_below(self, lam: Weight):
+        """The dominant weights mu <= lam, for dominant lam, sorted.
+
+        Any two comparable dominant weights are joined by a chain of dominant
+        weights that differ by positive roots (Stembridge, "The partial order
+        of dominant weights", 1998), so a walk down by positive roots that
+        stays dominant finds them all."""
+        if not self.is_dominant(lam):
+            raise ValueError("dominant_below needs a dominant weight")
+        roots = [r.coords for r in self.positive_roots]
+        seen = {lam}
+        frontier = [lam]
+        while frontier:
+            nxt = []
+            for mu in frontier:
+                for root in roots:
+                    nu = tuple([a - b for a, b in zip(mu, root)])
+                    if nu not in seen and all(a >= 0 for a in nu):
+                        seen.add(nu)
+                        nxt.append(nu)
+            frontier = nxt
+        return sorted(seen)
+
     def conv_interior(self, lam: Weight):
         orbit = set(self.weyl_orbit(lam))
         return [mu for mu in self.conv_set(lam) if mu not in orbit]
@@ -464,33 +505,31 @@ class RootSystem:
 # Construction
 
 
-def _close_roots(rank, cartan, simple_matrices):
-    """All positive roots with simple-root coordinates and coroot functionals."""
+def _close_roots(rank, simple_roots):
+    """All positive roots with simple-root coordinates and coroot functionals.
+
+    s_i maps beta to beta - <beta, alpha_i_vee> alpha_i and beta_vee to
+    beta_vee - <alpha_i, beta_vee> alpha_i_vee."""
     def unit(i):
         return tuple(int(j == i) for j in range(rank))
 
-    seeds = []
-    for j in range(rank):
-        coords = tuple(cartan[i][j] for i in range(rank))
-        seeds.append((coords, unit(j), unit(j)))
+    seeds = [(alpha, unit(j), unit(j)) for j, alpha in enumerate(simple_roots)]
     seen = {s[0]: s for s in seeds}
     frontier = list(seeds)
     while frontier:
         nxt = []
         for coords, rc, cr in frontier:
-            for i in range(rank):
+            for i, alpha in enumerate(simple_roots):
                 p = coords[i]
-                new_coords = tuple(
-                    a - p * cartan[k][i] for k, a in enumerate(coords)
-                )
+                new_coords = tuple([a - p * b for a, b in zip(coords, alpha)])
                 if new_coords in seen:
                     continue
-                new_rc = tuple(a - p * int(k == i) for k, a in enumerate(rc))
-                mat = simple_matrices[i]
-                new_cr = tuple(
-                    sum(mat[k][j] * cr[k] for k in range(rank)) for j in range(rank)
+                q = sum(map(mul, cr, alpha))
+                entry = (
+                    new_coords,
+                    rc[:i] + (rc[i] - p,) + rc[i + 1:],
+                    cr[:i] + (cr[i] - q,) + cr[i + 1:],
                 )
-                entry = (new_coords, new_rc, new_cr)
                 seen[new_coords] = entry
                 nxt.append(entry)
         frontier = nxt
@@ -527,23 +566,11 @@ def build_root_system(spec: str) -> RootSystem:
             cartan.append((0,) * offset + row + (0,) * (total - offset - n))
         offset += n
     cartan = tuple(cartan)
-    _validate_cartan(cartan)
+    symmetrizers = _validate_cartan(cartan)
 
     rank = total
-    tmp = RootSystem(
-        spec="x".join(f"{l}{n}" for l, n in types),
-        rank=rank,
-        cartan_matrix=cartan,
-        simple_roots=tuple(
-            tuple(cartan[i][j] for i in range(rank)) for j in range(rank)
-        ),
-        positive_roots=(),
-        components=(),
-        symmetrizers=_symmetrizers(cartan),
-        cartan_inverse=_invert_fraction_matrix(cartan),
-    )
-    mats = [tmp.simple_reflection_matrix(i) for i in range(rank)]
-    pos = _close_roots(rank, cartan, mats)
+    simple_roots = tuple(zip(*cartan))
+    pos = _close_roots(rank, simple_roots)
 
     expected = sum(_POS_ROOT_COUNT[l](n) for l, n in types)
     if len(pos) != expected:
@@ -562,6 +589,20 @@ def build_root_system(spec: str) -> RootSystem:
         highest = max(in_comp, key=lambda r: sum(r.root_coords))
         comps.append((idx, highest))
         offset += n
-    tmp.positive_roots = pos
-    tmp.components = tuple(comps)
-    return tmp
+    adjugate = _adjugate(cartan)
+    return RootSystem(
+        spec="x".join(f"{l}{n}" for l, n in types),
+        rank=rank,
+        cartan_matrix=cartan,
+        simple_roots=simple_roots,
+        positive_roots=pos,
+        components=tuple(comps),
+        symmetrizers=symmetrizers,
+        cartan_det=determinant(cartan),
+        cartan_adjugate=adjugate,
+        height_row=tuple(map(sum, zip(*adjugate))),
+        identity_matrix=tuple(
+            tuple(int(i == j) for j in range(rank)) for i in range(rank)
+        ),
+        coroot_rows=tuple(r.coroot for r in pos),
+    )

@@ -76,9 +76,7 @@ def _support_weights(rs: RootSystem, cm: CharacterMultiset):
     """All mu with dom(mu) dominance-below some weight in the support."""
     doms = set()
     for nu, _ in cm.mults:
-        for mu in rs.conv_set(nu):
-            if rs.is_dominant(mu):
-                doms.add(mu)
+        doms.update(rs.dominant_below(nu))
     out = set()
     for d in doms:
         out.update(rs.weyl_orbit(d))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .laurent import LaurentPoly, VINV
-from .rootdata import RootSystem, determinant
+from .rootdata import RootSystem
 from . import affweyl, exotic_k, heckebraid, tiltmult
 from .charring import CharacterMultiset, WEYL_BASIS
 from .affweyl import aff_length, aff_mul, simple_generators, t_lambda
@@ -72,7 +72,7 @@ def suite_order(rs: RootSystem, radius: int, seed: int = 0):
 
     omega_rep = Report(f"omega-group[{rs.spec}]")
     oms = list(affweyl.omega_elements(rs).values())
-    det = int(determinant(rs.cartan_matrix))
+    det = rs.cartan_det
     omega_rep.check(len(oms) == det, f"|Omega| = {len(oms)} != det A = {det}")
     for a in oms:
         for b in oms:

@@ -312,3 +312,24 @@ def test_tilt_arity_errors_exit_2(tmp_path, capsys):
                  ("tilt", "dominant", "A1", "[1]", "[2]")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "usage" in err and "Traceback" not in err, argv
+
+
+def test_verify_negative_radius_exits_2(capsys):
+    for radius in ("-1", "x"):
+        code, out, err = run_cli(capsys, "verify", "A2", "--radius", radius,
+                                 "--suite", "order")
+        assert code == 2 and out == "", radius
+        assert "--radius" in err and "Traceback" not in err, radius
+
+
+def test_verify_huge_weyl_group_exits_2_quickly():
+    """E7's Weyl group exceeds the enumeration bound; the check trips on
+    Macdonald's formula before anything is enumerated."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "exotictilt.cli", "verify", "E7",
+         "--suite", "bernstein"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "larger than bound" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,27 @@ def test_weyl_bound():
     rs = get_rs("B2")
     with pytest.raises(RootSystemError):
         rs.weyl_group(bound=3)
+
+
+def test_weyl_bound_trips_before_enumerating():
+    """|W(E7)| = 2903040 exceeds the default bound; Macdonald's formula
+    refuses it before a single element is built."""
+    rs = build_root_system("E7")
+    start = time.perf_counter()
+    with pytest.raises(RootSystemError, match="2903040"):
+        rs.weyl_group()
+    assert time.perf_counter() - start < 1.0
+    assert "weyl_elements" not in rs._cache
+
+
+def test_dominant_below_matches_conv_set():
+    for spec in specs_up_to_rank(3):
+        rs = get_rs(spec)
+        for lam in itertools.product(range(3), repeat=rs.rank):
+            expected = [mu for mu in rs.conv_set(lam) if rs.is_dominant(mu)]
+            assert rs.dominant_below(lam) == expected, (spec, lam)
+    with pytest.raises(ValueError):
+        get_rs("A2").dominant_below((1, -1))
 
 
 # --- geometric hull oracle (ranks 1 and 2) ---------------------------------
