@@ -11,9 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import prod
+from operator import ge, le, mul
 
 from .laurent import LaurentPoly, ONE, ZERO
-from .rootdata import RootSystem, Weight
+from .rootdata import (
+    KOSTANT_BIT_BOUND, KOSTANT_BOUND, RootSystem, RootSystemError, Weight,
+)
 
 WEYL_BASIS = "Weyl"
 GOOD_BASIS = "good"
@@ -56,7 +61,11 @@ class CharacterMultiset:
 
 def kostant_partition(rs: RootSystem, mu: Weight) -> LaurentPoly:
     """P_mu(v): graded count of multisets of positive roots summing to mu,
-    v tracking the multiset size."""
+    v tracking the multiset size.  A value not yet in the memo is the product
+    over the irreducible components of rs of P at mu's simple-root
+    coordinates on that component: v^c on a component of rank 1, whose one
+    positive root is its simple root, and otherwise an entry of the
+    component's dense table, grown to cover mu if needed."""
     memo = rs.memo("kostant")
     mu = tuple(mu)
     res = memo.get(mu)
@@ -66,12 +75,130 @@ def kostant_partition(rs: RootSystem, mu: Weight) -> LaurentPoly:
     if c is None or any(x < 0 for x in c):
         res = ZERO
     else:
-        res = _kp(rs, len(rs.positive_roots) - 1, c, rs.memo("kostant_dp"))
+        for k, (idx, _) in enumerate(rs.components):
+            part = c[idx[0]:idx[-1] + 1]
+            p = (LaurentPoly.v(part[0]) if len(part) == 1
+                 else _kostant_entry(rs, k, part))
+            res = p if k == 0 else res * p
     memo[mu] = res
     return res
 
 
+def _kostant_entry(rs: RootSystem, comp: int, coords) -> LaurentPoly:
+    """P at the simple-root coordinates coords of component comp, unpacked
+    from the component's dense table."""
+    table = _kostant_table(rs, comp, coords)
+    packed = table["cells"][sum(map(mul, coords, table["strides"]))]
+    width = table["width"]
+    mask = (1 << width) - 1
+    return LaurentPoly({
+        k: (packed >> (k * width)) & mask
+        for k in range(-(-packed.bit_length() // width))
+    })
+
+
+def _kostant_table(rs: RootSystem, comp: int, coords) -> dict:
+    """The dense Kostant table of the irreducible component comp of rs, kept
+    in rs.memo("kostant_table")[comp].  It covers the box [0, top] of the
+    component's simple-root coordinates.  When coords lies outside the box,
+    the box grows to the componentwise max of the old top and coords, or, if
+    that is over a budget, to the box of coords alone, and the table is
+    rebuilt; so whether a request is answered does not depend on earlier
+    ones."""
+    tables = rs.memo("kostant_table")
+    table = tables.get(comp)
+    if table is not None and all(map(le, coords, table["top"])):
+        return table
+    idx = rs.components[comp][0]
+    roots = [a for a in (r.root_coords[idx[0]:idx[-1] + 1]
+                         for r in rs.positive_roots) if any(a)]
+    grown = coords if table is None else tuple(map(max, table["top"], coords))
+    try:
+        table = _kostant_build(roots, grown)
+    except RootSystemError:
+        if grown == coords:
+            raise
+        table = _kostant_build(roots, coords)
+    tables[comp] = table
+    return table
+
+
+def _kostant_build(roots, top) -> dict:
+    """P_gamma(v) for every gamma in the box [0, top], Kronecker-packed into
+    one int per gamma with `width` bits per coefficient, at flat index
+    sum(gamma[i] * strides[i]).
+
+    Every coefficient of P_gamma is at most P_gamma(1), so the bit length of
+    the largest value of the sweep at v = 1 is a width at which no carry
+    crosses a coefficient.  P_gamma has degree ht(gamma) with leading
+    coefficient 1 (only the simple roots make a multiset that large), so
+    its packed int has width * ht(gamma) + 1 bits, and the table
+    size + width * size * ht(top) / 2 bits in all.  Both the size and the
+    bits are checked against their budgets before the packed sweep
+    allocates anything; only the sweep at v = 1, bounded by the size, comes
+    first."""
+    size = _box_size(top)
+    if size > KOSTANT_BOUND:
+        raise RootSystemError(
+            f"Kostant table over the box {list(top)} of simple-root "
+            f"coordinates needs {size} entries, above the bound {KOSTANT_BOUND}"
+        )
+    at_one, strides = _kostant_sweep(roots, top, 0)
+    width = max(at_one).bit_length()
+    bits = size + width * size * sum(top) // 2
+    if bits > KOSTANT_BIT_BOUND:
+        raise RootSystemError(
+            f"Kostant table over the box {list(top)} of simple-root "
+            f"coordinates packs into {bits} bits, above the bound "
+            f"{KOSTANT_BIT_BOUND}"
+        )
+    cells, _ = _kostant_sweep(roots, top, width)
+    return {"top": top, "strides": strides, "width": width, "cells": cells}
+
+
+def _box_size(top) -> int:
+    return prod(t + 1 for t in top)
+
+
+def _kostant_sweep(roots, top, width):
+    """The unbounded-knapsack sweep over the box [0, top]: for each positive
+    root alpha, P[gamma] += v * P[gamma - alpha] in increasing flat order,
+    where v * P is P << width (width 0 gives the values at v = 1).  The
+    coordinate with the largest top is contiguous (stride 1), so the sweep
+    goes by rows along it; a root that is nonzero off that coordinate reads
+    a row that lies wholly before the one it writes.  Returns the cells and
+    the strides."""
+    order = sorted(range(len(top)), key=top.__getitem__)
+    dims = [top[i] + 1 for i in order]
+    step = [prod(dims[k + 1:]) for k in range(len(dims))]
+    n = dims[-1]
+    cells = [0] * prod(dims)
+    cells[0] = 1
+    for root in roots:
+        a = [root[i] for i in order]
+        if any(map(ge, a, dims)):
+            continue
+        off = sum(map(mul, a, step))
+        for prefix in product(*map(range, a[:-1], dims[:-1])):
+            row = sum(map(mul, prefix, step))
+            lo, hi = row + a[-1], row + n
+            if off >= n:
+                cells[lo:hi] = [
+                    x + (y << width)
+                    for x, y in zip(cells[lo:hi], cells[lo - off:hi - off])
+                ]
+            else:
+                for j in range(lo, hi):
+                    cells[j] += cells[j - off] << width
+    strides = [0] * len(top)
+    for i, s in zip(order, step):
+        strides[i] = s
+    return cells, strides
+
+
 def _kp(rs, i, coords, dp):
+    """Test oracle for the dense table: the recursion over the positive
+    roots up to index i, memoised in dp by (i, coords)."""
     if all(x == 0 for x in coords):
         return ONE
     if i < 0:

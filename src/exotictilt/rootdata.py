@@ -26,6 +26,8 @@ Matrix = tuple  # tuple[tuple[int, ...], ...]
 
 MAX_RANK = 8
 WEYL_BOUND = 10**6
+KOSTANT_BOUND = 2 * 10**5  # entries of a dense Kostant table (charring)
+KOSTANT_BIT_BOUND = 10**8  # bits of the packed polynomials of that table
 
 
 class RootSystemError(ValueError):

@@ -15,6 +15,16 @@ from .charring import CharacterMultiset, WEYL_BASIS
 from .affweyl import aff_length, aff_mul, simple_generators, t_lambda
 from .heckebraid import HeckeElement, Report
 
+# Budgets on the weight box (2 radius + 1)^rank of a run, checked before any
+# suite starts.  BOX_BOUND caps the weights, which every suite walks: it
+# admits the default radius 2 up to rank 7 (E7 then trips the Weyl-group
+# bound).  PAIR_BOUND caps the comparisons of the order suite, box * (box +
+# |W|): every pair of weights, and every weight against every Weyl element.
+# At some 60 us a comparison that is about two minutes; it admits the
+# default radius up to rank 4.
+BOX_BOUND = 10**5
+PAIR_BOUND = 2 * 10**6
+
 
 def suite_bernstein(rs: RootSystem, radius: int, seed: int = 0):
     return [
@@ -236,6 +246,23 @@ SUITES = {
 }
 
 
+def _check_budget(rs: RootSystem, names, radius: int) -> None:
+    size = (2 * radius + 1) ** rs.rank
+    if size > BOX_BOUND:
+        raise ValueError(
+            f"the weight box of radius {radius} on {rs.spec} holds {size} "
+            f"weights, above the bound {BOX_BOUND}"
+        )
+    if "order" in names:
+        pairs = size * (size + rs.weyl_order())
+        if pairs > PAIR_BOUND:
+            raise ValueError(
+                f"the order suite on the weight box of radius {radius} on "
+                f"{rs.spec} makes {pairs} comparisons, above the bound "
+                f"{PAIR_BOUND}"
+            )
+
+
 def run_suites(rs: RootSystem, which: str, radius: int, seed: int = 0):
     if which == "all":
         names = list(SUITES)
@@ -243,6 +270,7 @@ def run_suites(rs: RootSystem, which: str, radius: int, seed: int = 0):
         names = [which]
     else:
         raise ValueError(f"unknown suite {which!r}")
+    _check_budget(rs, names, radius)
     reports = []
     for name in names:
         reports.extend(SUITES[name](rs, radius, seed))

@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -29,3 +30,21 @@ def b2():
 @pytest.fixture
 def g2():
     return get_rs("G2")
+
+
+IRREDUCIBLE_UP_TO_RANK_4 = [
+    ("A1", 1), ("A2", 2), ("B2", 2), ("C2", 2), ("G2", 2),
+    ("A3", 3), ("B3", 3), ("C3", 3),
+    ("A4", 4), ("B4", 4), ("C4", 4), ("D4", 4), ("F4", 4),
+]
+
+
+def specs_up_to_rank(bound):
+    """Every product of irreducible types with total rank <= bound."""
+    out = []
+    for k in range(1, bound + 1):
+        for combo in itertools.combinations_with_replacement(
+                IRREDUCIBLE_UP_TO_RANK_4, k):
+            if sum(n for _, n in combo) <= bound:
+                out.append("x".join(name for name, _ in combo))
+    return out

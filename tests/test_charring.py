@@ -1,13 +1,15 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exotictilt import charring as ch
+from exotictilt import build_root_system, charring as ch
 from exotictilt.charring import CharacterMultiset
 from exotictilt.laurent import LaurentPoly, ONE, ZERO
+from exotictilt.rootdata import RootSystemError
 
-from conftest import get_rs
+from conftest import get_rs, specs_up_to_rank
 
 
 def test_kostant_examples(a1, a2):
@@ -126,6 +128,153 @@ def test_kp_recursion_direct(b2):
     # a + 2b: {a, b, b}, {a+b, b}, {a+2b}
     assert ch._kp(b2, len(b2.positive_roots) - 1, (1, 2), dp) == \
         LaurentPoly({1: 1, 2: 1, 3: 1})
+
+
+def _weight_of(rs, coords):
+    """The weight with simple-root coordinates coords."""
+    return tuple(sum(c * a[k] for c, a in zip(coords, rs.simple_roots))
+                 for k in range(rs.rank))
+
+
+def _kp_oracle(rs, coords, dp):
+    return ch._kp(rs, len(rs.positive_roots) - 1, tuple(coords), dp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kostant_table_matches_recursion(data):
+    """The dense table against the recursion, for every spec of rank <= 3,
+    on a fresh root system whose table is built for the drawn box; the
+    coordinates run over a box of the root cone, with a few negative ones
+    (value 0) mixed in."""
+    spec = data.draw(st.sampled_from(specs_up_to_rank(3)))
+    rs = build_root_system(spec)
+    hi = {1: 8, 2: 5, 3: 3}[rs.rank]
+    dp = {}
+    for _ in range(3):
+        c = tuple(data.draw(st.lists(st.integers(-1, hi), min_size=rs.rank,
+                                     max_size=rs.rank)))
+        got = ch.kostant_partition(rs, _weight_of(rs, c))
+        assert got == _kp_oracle(rs, c, dp), (spec, c)
+
+
+@pytest.mark.parametrize("spec", ["A4", "B4", "C4", "D4", "F4"])
+def test_kostant_table_rank_4_fundamental(spec):
+    """Every value in the box of simple-root coordinates below det(A) times
+    each fundamental weight (a multiple that lies in the root lattice), from
+    one table built for the top of that box."""
+    base = get_rs(spec)
+    dp = {}
+    for i in range(base.rank):
+        top = base.root_coords_int(
+            tuple(base.cartan_det * int(j == i) for j in range(base.rank)))
+        rs = build_root_system(spec)
+        ch.kostant_partition(rs, _weight_of(rs, top))
+        for c in itertools.product(*(range(t + 1) for t in top)):
+            assert ch.kostant_partition(rs, _weight_of(rs, c)) == \
+                _kp_oracle(rs, c, dp), (spec, c)
+        assert rs.memo("kostant_table")[0]["top"] == top
+
+
+@pytest.mark.parametrize("spec", ["B3", "D4"])
+def test_kostant_table_width_is_bit_length_of_largest_value(spec):
+    """The packing width is the bit length of the largest P_gamma(1) over
+    the box, taken from the recursion, on tables whose entries are not all
+    monomials; a narrower width would let carries cross coefficients."""
+    dp = {}
+    rs = build_root_system(spec)
+    for i in range(rs.rank):
+        top = rs.root_coords_int(
+            tuple(rs.cartan_det * int(j == i) for j in range(rs.rank)))
+        ch.kostant_partition(rs, _weight_of(rs, top))
+        table = rs.memo("kostant_table")[0]
+        largest = max(_kp_oracle(rs, c, dp)(1) for c in
+                      itertools.product(*(range(t + 1) for t in table["top"])))
+        assert largest > 1
+        assert table["width"] == largest.bit_length(), (spec, table["top"])
+
+
+def test_kostant_table_grows_by_componentwise_max():
+    """Requests that are small first, then larger in different coordinates,
+    give the values of a fresh root system; the box is the componentwise
+    max of the requests so far."""
+    rs = build_root_system("B3")
+    tops = []
+    for c in [(1, 0, 0), (0, 3, 0), (2, 1, 0), (0, 0, 4), (1, 1, 1), (3, 2, 1)]:
+        mu = _weight_of(rs, c)
+        got = ch.kostant_partition(rs, mu)
+        assert got == ch.kostant_partition(build_root_system("B3"), mu), c
+        tops.append(rs.memo("kostant_table")[0]["top"])
+    assert tops == [(1, 0, 0), (1, 3, 0), (2, 3, 0), (2, 3, 4), (2, 3, 4),
+                    (3, 3, 4)]
+
+
+def test_kostant_bound(monkeypatch):
+    """A box over the bound is refused before anything is allocated; when
+    only the grown box would be over it, the table is rebuilt for the new
+    request alone."""
+    monkeypatch.setattr(ch, "KOSTANT_BOUND", 15)
+    rs = build_root_system("A2")
+    assert ch.kostant_partition(rs, _weight_of(rs, (4, 0))) == \
+        LaurentPoly({4: 1})
+    assert ch.kostant_partition(rs, _weight_of(rs, (2, 3))) == \
+        _kp_oracle(rs, (2, 3), {})
+    assert rs.memo("kostant_table")[0]["top"] == (2, 3)
+    with pytest.raises(RootSystemError, match="above the bound 15"):
+        ch.kostant_partition(rs, _weight_of(rs, (5, 5)))
+    assert rs.memo("kostant_table")[0]["top"] == (2, 3)
+
+
+def test_kostant_bit_bound(monkeypatch):
+    """The packed table is refused by its bits, size + width * size *
+    ht(top) / 2, before the packed sweep; as with the entry bound, an
+    over-budget grown box falls back to the request's own box."""
+    rs = build_root_system("A2")
+    ch.kostant_partition(rs, _weight_of(rs, (2, 3)))
+    table = rs.memo("kostant_table")[0]
+    size, width = len(table["cells"]), table["width"]
+    bits = sum(cell.bit_length() for cell in table["cells"])
+    assert bits == size + width * size * 5 // 2 == 72
+
+    monkeypatch.setattr(ch, "KOSTANT_BIT_BOUND", 72)
+    rs = build_root_system("A2")
+    assert ch.kostant_partition(rs, _weight_of(rs, (3, 2))) == \
+        _kp_oracle(rs, (3, 2), {})
+    assert ch.kostant_partition(rs, _weight_of(rs, (2, 3))) == \
+        _kp_oracle(rs, (2, 3), {})
+    assert rs.memo("kostant_table")[0]["top"] == (2, 3)
+    with pytest.raises(RootSystemError, match="160 bits, above the bound 72"):
+        ch.kostant_partition(rs, _weight_of(rs, (3, 3)))
+    assert rs.memo("kostant_table")[0]["top"] == (2, 3)
+
+
+def test_kostant_factors_over_components():
+    """On a product, P is the product of the components' values; a rank-1
+    component is answered as v^c without a table, however large c is."""
+    rs = build_root_system("A1xA2")
+    a2 = build_root_system("A2")
+    big = 10**6
+    got = ch.kostant_partition(rs, _weight_of(rs, (big, 2, 1)))
+    assert got == LaurentPoly.v(big) * ch.kostant_partition(
+        a2, _weight_of(a2, (2, 1)))
+    assert set(rs.memo("kostant_table")) == {1}
+    assert rs.memo("kostant_table")[1]["top"] == (2, 1)
+    assert ch.kostant_partition(get_rs("A1"), (2 * big,)) == \
+        LaurentPoly.v(big)
+
+
+def test_lusztig_f4_rho_specializes_to_freudenthal():
+    """The F4 rho q-analogue, once 12 s through the recursion, in one dense
+    table of 38016 entries."""
+    rs = build_root_system("F4")
+    zero = rs.zero()
+    start = time.perf_counter()
+    q = ch.lusztig_q(rs, rs.rho, zero)
+    elapsed = time.perf_counter() - start
+    assert q(1) == ch.freudenthal_mult(rs, rs.rho, zero) == 34432
+    assert q.is_nonneg() and q.min_exp() == 8 and q.max_exp() == 55
+    assert rs.memo("kostant_table")[0]["top"] == (11, 21, 15, 8)
+    assert elapsed < 10.0
 
 
 def test_freudenthal_examples(a1, a2):

@@ -1,6 +1,8 @@
 import json
+import resource
 import subprocess
 import sys
+import time
 
 from exotictilt import cli
 
@@ -333,3 +335,78 @@ def test_verify_huge_weyl_group_exits_2_quickly():
     assert proc.returncode == 2
     assert "larger than bound" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+CHILD_ADDRESS_SPACE = 512 << 20
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+def _timed_cli(*argv, timeout):
+    """Run the CLI in a child process whose address space is capped at
+    512 MB, so a command that allocates far more fails with a traceback
+    instead of loading the host."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "exotictilt.cli", *argv],
+        capture_output=True, text=True, timeout=timeout,
+        preexec_fn=_cap_address_space,
+    )
+    return proc, time.perf_counter() - start
+
+
+def test_qanalogue_over_kostant_bound_exits_2_quickly():
+    """E6 rho to 0 needs a Kostant table of 5474304 entries; the budget
+    refuses it before allocating anything."""
+    proc, elapsed = _timed_cli("qanalogue", "E6", "[1,1,1,1,1,1]",
+                               "[0,0,0,0,0,0]", timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "5474304" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 2.0
+
+
+def test_qanalogue_large_weight_in_rank_1():
+    """A rank-1 factor is answered as v^c, with no table to hold every
+    power of v below it."""
+    proc, elapsed = _timed_cli("qanalogue", "A1", "[399998]", "[0]",
+                               timeout=30)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "v^199999")
+    assert proc.stderr == ""
+    assert elapsed < 2.0
+
+
+def test_qanalogue_over_kostant_bit_bound_exits_2_quickly():
+    """A2 (400, 400) to 0 has a box of 160801 entries, inside the entry
+    bound, whose packed polynomials would take 579044401 bits; the bit
+    budget refuses it after the sweep at v = 1."""
+    proc, elapsed = _timed_cli("qanalogue", "A2", "[400,400]", "[0,0]",
+                               timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "579044401 bits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 2.0
+
+
+def test_verify_huge_radius_exits_2_quickly():
+    proc, elapsed = _timed_cli("verify", "A3", "--radius", "1000", timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: the weight box of radius 1000")
+    assert "above the bound" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_verify_order_suite_budget_exits_2_quickly():
+    """A3 at radius 20 holds 68921 weights, inside the box bound, but the
+    order suite would make 4751758345 comparisons."""
+    for suite in ("order", "all"):
+        proc, elapsed = _timed_cli("verify", "A3", "--radius", "20",
+                                   "--suite", suite, timeout=30)
+        assert proc.returncode == 2 and proc.stdout == "", suite
+        assert "4751758345 comparisons" in proc.stderr, suite
+        assert "Traceback" not in proc.stderr, suite
+        assert elapsed < 1.0, suite

@@ -6,7 +6,7 @@ import pytest
 
 from exotictilt.rootdata import RootSystemError, build_root_system
 
-from conftest import get_rs
+from conftest import get_rs, specs_up_to_rank
 
 
 def test_a1_defining_data(a1):
@@ -114,24 +114,6 @@ def test_weyl_length_counts_inversions():
                 if rs.apply(w.matrix, r.coords) not in pos
             )
             assert w.length == inv
-
-
-IRREDUCIBLE_UP_TO_RANK_4 = [
-    ("A1", 1), ("A2", 2), ("B2", 2), ("C2", 2), ("G2", 2),
-    ("A3", 3), ("B3", 3), ("C3", 3),
-    ("A4", 4), ("B4", 4), ("C4", 4), ("D4", 4), ("F4", 4),
-]
-
-
-def specs_up_to_rank(bound):
-    """Every product of irreducible types with total rank <= bound."""
-    out = []
-    for k in range(1, bound + 1):
-        for combo in itertools.combinations_with_replacement(
-                IRREDUCIBLE_UP_TO_RANK_4, k):
-            if sum(n for _, n in combo) <= bound:
-                out.append("x".join(name for name, _ in combo))
-    return out
 
 
 def test_longest_element():

@@ -31,6 +31,19 @@ def test_unknown_suite_rejected(a1):
         verify.run_suites(a1, "nope", radius=1)
 
 
+def test_budgets_bound_each_suite():
+    """The box bound applies to every suite and the comparison bound only
+    where the order suite runs; both refuse before any suite starts."""
+    a3 = get_rs("A3")
+    for which in ("order", "all"):
+        with pytest.raises(ValueError, match="makes 4751758345 comparisons"):
+            verify.run_suites(a3, which, radius=20)
+    with pytest.raises(ValueError, match="holds 390625 weights"):
+        verify.run_suites(build_root_system("A8"), "module", radius=2)
+    with pytest.raises(ValueError, match="makes 6052921 comparisons"):
+        verify.run_suites(get_rs("A4"), "order", radius=3)
+
+
 @pytest.mark.parametrize("spec", ["A1", "A2", "B2"])
 def test_anchors_suite_passes(spec):
     reports = verify.run_suites(get_rs(spec), "anchors", radius=2)
