@@ -42,10 +42,6 @@ def t_lambda(rs: RootSystem, lam: Weight) -> AffineElement:
     return AffineElement(rs.identity_matrix, tuple(lam))
 
 
-def from_weyl(rs: RootSystem, matrix) -> AffineElement:
-    return AffineElement(matrix, rs.zero())
-
-
 def aff_mul(rs: RootSystem, x: AffineElement, y: AffineElement) -> AffineElement:
     t = x.t
     return AffineElement(
@@ -113,10 +109,6 @@ def generator_order(rs: RootSystem):
 
 def gen_sort_key(gid: int):
     return (0, gid) if gid > 0 else (1, -gid)
-
-
-def is_finite_gen(gid: int) -> bool:
-    return gid > 0
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +193,6 @@ def omega_of_weight(rs: RootSystem, lam: Weight) -> AffineElement:
 
 # ---------------------------------------------------------------------------
 # Bruhat order
-
-
-def _left_descent(rs, gens, order, x, xlen):
-    for gid in order:
-        y = aff_mul(rs, gens[gid], x)
-        if aff_length(rs, y) < xlen:
-            return y
-    return None
 
 
 def bruhat_leq(rs: RootSystem, x: AffineElement, y: AffineElement) -> bool:

@@ -15,7 +15,7 @@ from itertools import product
 from math import prod
 from operator import ge, le, mul
 
-from .laurent import LaurentPoly, ONE, ZERO
+from .laurent import LaurentPoly, ZERO
 from .rootdata import (
     KOSTANT_BIT_BOUND, KOSTANT_BOUND, RootSystem, RootSystemError, Weight,
 )
@@ -196,31 +196,6 @@ def _kostant_sweep(roots, top, width):
     return cells, strides
 
 
-def _kp(rs, i, coords, dp):
-    """Test oracle for the dense table: the recursion over the positive
-    roots up to index i, memoised in dp by (i, coords)."""
-    if all(x == 0 for x in coords):
-        return ONE
-    if i < 0:
-        return ZERO
-    key = (i, coords)
-    res = dp.get(key)
-    if res is not None:
-        return res
-    root = rs.positive_roots[i].root_coords
-    total = ZERO
-    cur = coords
-    k = 0
-    while all(x >= 0 for x in cur):
-        part = _kp(rs, i - 1, cur, dp)
-        if part:
-            total = total + part * LaurentPoly.v(k)
-        cur = tuple(a - b for a, b in zip(cur, root))
-        k += 1
-    dp[key] = total
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Lusztig q-analogue
 
@@ -268,21 +243,6 @@ def lusztig_q(rs: RootSystem, lam: Weight, mu: Weight) -> LaurentPoly:
                     nxt.append((y, c[:i] + (c[i] - a,) + c[i + 1:]))
         level = nxt
         sign = -sign
-    return total
-
-
-def lusztig_q_wsum(rs: RootSystem, lam: Weight, mu: Weight) -> LaurentPoly:
-    """Oracle for lusztig_q: the alternating sum over all of W, enumerated.
-    Meant for tests in low rank."""
-    rho = rs.rho
-    shifted = rs.add(lam, rho)
-    target = rs.add(mu, rho)
-    total = ZERO
-    for w in rs.weyl_group():
-        arg = rs.sub(rs.apply(w.matrix, shifted), target)
-        p = kostant_partition(rs, arg)
-        if p:
-            total = total + (p if w.length % 2 == 0 else -p)
     return total
 
 

@@ -171,10 +171,6 @@ def element_json(x: AffineElement) -> dict:
     return {"finite": [list(r) for r in x.w], "translation": list(x.t)}
 
 
-def poly_str(p: LaurentPoly) -> str:
-    return str(p)
-
-
 def _coef_prefix(p: LaurentPoly) -> str:
     if p == LaurentPoly.one():
         return ""
@@ -222,13 +218,6 @@ def kclass_json(c: KClass) -> list:
     return [
         {"weight": list(w), "poly": p.pairs()} for w, p in sorted(c.terms.items())
     ]
-
-
-def character_json(cm: CharacterMultiset) -> dict:
-    return {
-        "basis": cm.basis_kind,
-        "mults": [{"weight": list(w), "count": n} for w, n in cm.mults],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +403,7 @@ def cmd_qanalogue(rs, args):
     lam = parse_weight(rs, args.lam)
     mu = parse_weight(rs, args.mu)
     p = charring.lusztig_q(rs, lam, mu)
-    _emit(args, poly_str(p), p.pairs())
+    _emit(args, str(p), p.pairs())
     return 0
 
 
@@ -422,7 +411,7 @@ def cmd_gamma(rs, args):
     lam = parse_weight(rs, args.lam)
     nu = parse_weight(rs, args.nu)
     p = tiltmult.gamma_graded_char(rs, lam, nu)
-    _emit(args, poly_str(p), p.pairs())
+    _emit(args, str(p), p.pairs())
     return 0
 
 
@@ -432,7 +421,7 @@ def cmd_tilt(rs, args):
         mu = parse_weight(rs, args.weight)
         fn = tiltmult.std_mult if args.kind == "std" else tiltmult.costd_mult
         p = fn(rs, cm, mu)
-        _emit(args, poly_str(p), p.pairs())
+        _emit(args, str(p), p.pairs())
         return 0
     # dominant
     lam = parse_weight(rs, args.weight)

@@ -19,10 +19,10 @@ m_0 . T_omega (T_{s_r}+v) ... (T_{s_1}+v), the innermost factor acting first.
 
 from __future__ import annotations
 
-from .laurent import (Combination, LaurentPoly, ONE, VINV, VINV_MINUS_V,
-                      V_MINUS_VINV, _accumulate)
+from .laurent import Combination, LaurentPoly, ONE, VINV, VINV_MINUS_V
 from .rootdata import RootSystem, Weight
-from . import affweyl, heckebraid
+from . import affweyl
+from .heckebraid import BraidWord, act, theta_letters, word_letters
 from .affweyl import AffineElement, aff_length, aff_mul, simple_generators
 
 
@@ -58,69 +58,28 @@ def _basis_gen_action(rs, lam: Weight, gid: int):
     return res
 
 
+def _basis_omega_action(rs, lam: Weight, omega: AffineElement) -> Weight:
+    """The weight mu with m_lam . T_omega = m_mu."""
+    return aff_mul(rs, affweyl.w_lambda(rs, lam)[0], omega).t
+
+
+def _act(rs, c: KClass, letters) -> KClass:
+    return act(rs, c, letters, _basis_gen_action, _basis_omega_action)
+
+
 def act_simple(rs, c: KClass, gid: int) -> KClass:
     """c . T_s, extended linearly from the basis action."""
-    out = {}
-    for lam, p in c.terms.items():
-        for mu, q in _basis_gen_action(rs, lam, gid):
-            _accumulate(out, mu, p * q)
-    return KClass(out)
-
-
-def act_simple_inv(rs, c: KClass, gid: int) -> KClass:
-    """c . T_s^{-1} = c . T_s + (v - v^-1) c."""
-    return act_simple(rs, c, gid) + c.scale(V_MINUS_VINV)
-
-
-def act_omega(rs, c: KClass, omega: AffineElement) -> KClass:
-    out = {}
-    for lam, p in c.terms.items():
-        u = aff_mul(rs, affweyl.w_lambda(rs, lam)[0], omega)
-        _accumulate(out, u.t, p)
-    return KClass(out)
-
-
-def act_basis(rs, c: KClass, x: AffineElement) -> KClass:
-    """c . T_x through a reduced word of x."""
-    omega, word = affweyl.reduced_word(rs, x)
-    if omega != affweyl.identity(rs):
-        c = act_omega(rs, c, omega)
-    for gid in word:
-        c = act_simple(rs, c, gid)
-    return c
-
-
-def act_basis_inv(rs, c: KClass, x: AffineElement) -> KClass:
-    """c . (T_x)^{-1}."""
-    omega, word = affweyl.reduced_word(rs, x)
-    for gid in reversed(word):
-        c = act_simple_inv(rs, c, gid)
-    if omega != affweyl.identity(rs):
-        c = act_omega(rs, c, affweyl.aff_inv(rs, omega))
-    return c
+    return _act(rs, c, (("s", gid, 1),))
 
 
 def act_hecke(rs, c: KClass, xi) -> KClass:
     """Right action of a HeckeElement or BraidWord."""
-    if isinstance(xi, heckebraid.BraidWord):
-        for kind, payload, exp in xi.letters:
-            if kind == "s":
-                c = (act_simple if exp == 1 else act_simple_inv)(rs, c, payload)
-            else:
-                om = payload if exp == 1 else affweyl.aff_inv(rs, payload)
-                c = act_omega(rs, c, om)
-        return c
+    if isinstance(xi, BraidWord):
+        return _act(rs, c, xi.letters)
     out = KClass.zero()
     for x, p in xi.terms.items():
-        out = out + act_basis(rs, c, x).scale(p)
+        out = out + _act(rs, c, word_letters(rs, x)).scale(p)
     return out
-
-
-def act_theta(rs, c: KClass, lam: Weight) -> KClass:
-    """c . theta_lam via generator sweeps."""
-    mu, nu = heckebraid.theta_decomposition(rs, lam)
-    c = act_basis(rs, c, affweyl.t_lambda(rs, mu))
-    return act_basis_inv(rs, c, affweyl.t_lambda(rs, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +97,8 @@ def delta_class(rs, lam: Weight) -> KClass:
     res = memo.get(lam)
     if res is None:
         w, _ = affweyl.w_lambda(rs, lam)
-        res = act_basis_inv(rs, m0(rs), affweyl.aff_inv(rs, w))
+        letters = word_letters(rs, affweyl.aff_inv(rs, w), inverse=True)
+        res = _act(rs, m0(rs), letters)
         memo[lam] = res
     return res
 
@@ -148,7 +108,7 @@ def line_bundle_class(rs, lam: Weight) -> KClass:
     memo = rs.memo("line_bundle")
     res = memo.get(lam)
     if res is None:
-        res = act_theta(rs, m0(rs), lam)
+        res = _act(rs, m0(rs), theta_letters(rs, lam))
         memo[lam] = res
     return res
 
@@ -163,7 +123,7 @@ def bott_samelson_class(rs, omega: AffineElement, seq, reverse=False) -> KClass:
     """
     if aff_length(rs, omega) != 0:
         raise ValueError("omega must have length 0")
-    c = act_omega(rs, m0(rs), omega)
+    c = _act(rs, m0(rs), (("omega", omega, 1),))
     letters = list(seq) if reverse else list(reversed(list(seq)))
     for gid in letters:
         c = act_simple(rs, c, gid) + c.scale(LaurentPoly.v(1))
@@ -177,5 +137,5 @@ def tensor_class(rs, weights: dict, c: KClass) -> KClass:
         if mult < 0:
             raise ValueError("weight multiplicities must be nonnegative")
         if mult:
-            out = out + act_theta(rs, c, mu).scale(mult)
+            out = out + _act(rs, c, theta_letters(rs, mu)).scale(mult)
     return out

@@ -11,6 +11,10 @@ Bernstein elements: theta_lam = T_{t_mu} (T_{t_nu})^{-1} for any dominant
 mu, nu with lam = mu - nu; the canonical choice takes nu_i = max(0, -lam_i)
 componentwise.  Braid-group words are only ever certified through their
 Hecke images.
+
+Every product by a word runs through one sweep, ``act``, which applies the
+letters of a word in order to a combination in a module given by its action
+on one basis key: H on the right, H on the left, or the K-module of exotic_k.
 """
 
 from __future__ import annotations
@@ -35,90 +39,7 @@ def unit(rs: RootSystem) -> HeckeElement:
 
 
 # ---------------------------------------------------------------------------
-# One-generator sweeps (the workhorses)
-
-
-def mul_gen(rs, xi: HeckeElement, gid: int, side="right") -> HeckeElement:
-    """xi * T_s (or T_s * xi for side='left') for a simple reflection s."""
-    g = simple_generators(rs)[gid]
-    out = {}
-    for x, p in xi.terms.items():
-        y = aff_mul(rs, x, g) if side == "right" else aff_mul(rs, g, x)
-        _accumulate(out, y, p)
-        if aff_length(rs, y) <= aff_length(rs, x):
-            _accumulate(out, x, p * VINV_MINUS_V)
-    return HeckeElement(out)
-
-
-def mul_gen_inv(rs, xi: HeckeElement, gid: int, side="right") -> HeckeElement:
-    """xi * T_s^{-1} = xi * T_s + (v - v^-1) xi (and the left analogue)."""
-    return mul_gen(rs, xi, gid, side) + xi.scale(V_MINUS_VINV)
-
-
-def mul_omega(rs, xi: HeckeElement, omega: AffineElement, side="right"):
-    out = {}
-    for x, p in xi.terms.items():
-        y = aff_mul(rs, x, omega) if side == "right" else aff_mul(rs, omega, x)
-        _accumulate(out, y, p)
-    return HeckeElement(out)
-
-
-def mul_basis(rs, xi: HeckeElement, x: AffineElement, side="right") -> HeckeElement:
-    """xi * T_x (or T_x * xi), expanding x through a reduced word."""
-    omega, word = affweyl.reduced_word(rs, x)
-    if side == "right":
-        if omega.t != rs.zero() or omega.w != rs.identity_matrix:
-            xi = mul_omega(rs, xi, omega, "right")
-        for gid in word:
-            xi = mul_gen(rs, xi, gid, "right")
-        return xi
-    # left: T_x * xi = T_omega T_{s_1} ... T_{s_k} * xi, innermost first
-    for gid in reversed(word):
-        xi = mul_gen(rs, xi, gid, "left")
-    if omega.t != rs.zero() or omega.w != rs.identity_matrix:
-        xi = mul_omega(rs, xi, omega, "left")
-    return xi
-
-
-def mul_basis_inv(rs, xi: HeckeElement, x: AffineElement, side="right"):
-    """xi * (T_x)^{-1} (or (T_x)^{-1} * xi)."""
-    omega, word = affweyl.reduced_word(rs, x)
-    oinv = affweyl.aff_inv(rs, omega)
-    if side == "right":
-        # (T_x)^{-1} = T_{s_k}^{-1} ... T_{s_1}^{-1} T_{omega^{-1}}
-        for gid in reversed(word):
-            xi = mul_gen_inv(rs, xi, gid, "right")
-        return mul_omega(rs, xi, oinv, "right")
-    xi = mul_omega(rs, xi, oinv, "left")
-    for gid in word:
-        xi = mul_gen_inv(rs, xi, gid, "left")
-    return xi
-
-
-# ---------------------------------------------------------------------------
-# Products, inverses of generators
-
-
-def hecke_mul(rs, xi: HeckeElement, eta: HeckeElement) -> HeckeElement:
-    """Product in H."""
-    out = HeckeElement.zero()
-    for y, p in eta.terms.items():
-        out = out + mul_basis(rs, xi, y, "right").scale(p)
-    return out
-
-
-def hecke_inv_generator(rs, g: AffineElement) -> HeckeElement:
-    """Inverse of T_g for g a simple reflection or a length-0 element."""
-    ll = aff_length(rs, g)
-    if ll == 0:
-        return HeckeElement.basis(affweyl.aff_inv(rs, g))
-    if ll == 1:
-        return HeckeElement({g: ONE, affweyl.identity(rs): V_MINUS_VINV})
-    raise ValueError("generator inverse requires length 0 or 1")
-
-
-# ---------------------------------------------------------------------------
-# Braid words
+# Braid words and the one sweep
 
 
 @dataclass(frozen=True)
@@ -141,10 +62,6 @@ class BraidWord:
                 stack.append(letter)
         object.__setattr__(self, "letters", tuple(stack))
 
-    @classmethod
-    def of_simples(cls, gids, exp=1):
-        return cls(tuple(("s", g, exp) for g in gids))
-
     def __mul__(self, other):
         return BraidWord(self.letters + other.letters)
 
@@ -154,16 +71,95 @@ class BraidWord:
         )
 
 
+def word_letters(rs, x: AffineElement, inverse=False) -> tuple:
+    """Letters of T_x = T_omega T_{s_1} ... T_{s_k} from the reduced word of
+    x, or of (T_x)^{-1} = T_{s_k}^{-1} ... T_{s_1}^{-1} T_omega^{-1}."""
+    omega, word = affweyl.reduced_word(rs, x)
+    letters = [("s", gid, 1) for gid in word]
+    if omega != affweyl.identity(rs):
+        letters.insert(0, ("omega", omega, 1))
+    if inverse:
+        return tuple((k, g, -e) for k, g, e in reversed(letters))
+    return tuple(letters)
+
+
+def act(rs, c: Combination, letters, step, move) -> Combination:
+    """c acted on by the letters in order, in the module that step and move
+    describe: step(rs, key, gid) is key . T_s as a tuple of (key, poly), and
+    move(rs, key, omega) is the key of key . T_omega.  A letter of exponent -1
+    acts by T_s^{-1} = T_s + (v - v^-1), or by T_{omega^{-1}}."""
+    terms = c.terms
+    for kind, payload, exp in letters:
+        gen = kind == "s"
+        if not gen and exp == -1:
+            payload = affweyl.aff_inv(rs, payload)
+        out = {}
+        for key, p in terms.items():
+            if gen:
+                for k, q in step(rs, key, payload):
+                    _accumulate(out, k, p if q is ONE else p * q)
+                if exp == -1:
+                    _accumulate(out, key, p * V_MINUS_VINV)
+            else:
+                _accumulate(out, move(rs, key, payload), p)
+        terms = out
+    return Combination(terms)
+
+
+def _right_step(rs, x, gid):
+    y = aff_mul(rs, x, simple_generators(rs)[gid])
+    if aff_length(rs, y) > aff_length(rs, x):
+        return ((y, ONE),)
+    return ((y, ONE), (x, VINV_MINUS_V))
+
+
+def _left_step(rs, x, gid):
+    y = aff_mul(rs, simple_generators(rs)[gid], x)
+    if aff_length(rs, y) > aff_length(rs, x):
+        return ((y, ONE),)
+    return ((y, ONE), (x, VINV_MINUS_V))
+
+
+# The regular modules: H acting on itself on the right and on the left.
+_SIDES = {
+    "right": (_right_step, lambda rs, x, omega: aff_mul(rs, x, omega)),
+    "left": (_left_step, lambda rs, x, omega: aff_mul(rs, omega, x)),
+}
+
+
+def _regular(rs, xi, letters, side):
+    """xi * T (or T * xi, the last letter first) for the word T of letters."""
+    if side == "left":
+        letters = letters[::-1]
+    return act(rs, xi, letters, *_SIDES[side])
+
+
+def mul_gen(rs, xi: HeckeElement, gid: int, side="right") -> HeckeElement:
+    """xi * T_s (or T_s * xi for side='left') for a simple reflection s."""
+    return _regular(rs, xi, (("s", gid, 1),), side)
+
+
+def mul_basis(rs, xi: HeckeElement, x: AffineElement, side="right") -> HeckeElement:
+    """xi * T_x (or T_x * xi), expanding x through a reduced word."""
+    return _regular(rs, xi, word_letters(rs, x), side)
+
+
+def mul_basis_inv(rs, xi: HeckeElement, x: AffineElement, side="right"):
+    """xi * (T_x)^{-1} (or (T_x)^{-1} * xi)."""
+    return _regular(rs, xi, word_letters(rs, x, inverse=True), side)
+
+
+def hecke_mul(rs, xi: HeckeElement, eta: HeckeElement) -> HeckeElement:
+    """Product in H."""
+    out = HeckeElement.zero()
+    for y, p in eta.terms.items():
+        out = out + mul_basis(rs, xi, y, "right").scale(p)
+    return out
+
+
 def evaluate_word(rs, word: BraidWord) -> HeckeElement:
     """Image of a braid word in H (left-to-right product)."""
-    xi = unit(rs)
-    for kind, payload, exp in word.letters:
-        if kind == "s":
-            xi = (mul_gen if exp == 1 else mul_gen_inv)(rs, xi, payload, "right")
-        else:
-            om = payload if exp == 1 else affweyl.aff_inv(rs, payload)
-            xi = mul_omega(rs, xi, om, "right")
-    return xi
+    return _regular(rs, unit(rs), word.letters, "right")
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +179,21 @@ def theta(rs, lam: Weight) -> HeckeElement:
     res = memo.get(lam)
     if res is None:
         mu, nu = theta_decomposition(rs, lam)
-        xi = HeckeElement.basis(affweyl.t_lambda(rs, mu))
-        res = mul_basis_inv(rs, xi, affweyl.t_lambda(rs, nu), "right")
-        memo[lam] = res
+        xi = T(rs, affweyl.t_lambda(rs, mu))
+        res = memo[lam] = mul_basis_inv(rs, xi, affweyl.t_lambda(rs, nu))
     return res
 
 
 def mul_theta(rs, xi: HeckeElement, lam: Weight) -> HeckeElement:
     """xi * theta_lam via generator sweeps (no large termwise products)."""
+    return _regular(rs, xi, theta_letters(rs, lam), "right")
+
+
+def theta_letters(rs, lam: Weight) -> tuple:
+    """Letters of theta_lam = T_{t_mu} (T_{t_nu})^{-1}."""
     mu, nu = theta_decomposition(rs, lam)
-    xi = mul_basis(rs, xi, affweyl.t_lambda(rs, mu), "right")
-    return mul_basis_inv(rs, xi, affweyl.t_lambda(rs, nu), "right")
+    return (word_letters(rs, affweyl.t_lambda(rs, mu))
+            + word_letters(rs, affweyl.t_lambda(rs, nu), inverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -452,29 +452,6 @@ class RootSystem:
         """-w_0(lam); permutes the dominant weights."""
         return self.neg(self.apply(self.longest_element().matrix, lam))
 
-    # -- convex hulls (lattice model) ---------------------------------------------
-
-    def conv_set(self, lam: Weight):
-        """conv(lam) = {mu in lam + Z.Phi : dom(mu) <= dom(lam)}.
-
-        Computed by downward traversal along simple roots; completeness relies
-        on saturation of Weyl-module weight sets (cross-checked against a
-        geometric hull test in ranks 1-2).
-        """
-        top = self.dom(lam)
-        seen = {top}
-        frontier = [top]
-        while frontier:
-            nxt = []
-            for mu in frontier:
-                for alpha in self.simple_roots:
-                    nu = self.sub(mu, alpha)
-                    if nu not in seen and self.dominance_leq(self.dom(nu), top):
-                        seen.add(nu)
-                        nxt.append(nu)
-            frontier = nxt
-        return sorted(seen)
-
     def dominant_below(self, lam: Weight):
         """The dominant weights mu <= lam, for dominant lam, sorted.
 
@@ -497,10 +474,6 @@ class RootSystem:
                         nxt.append(nu)
             frontier = nxt
         return sorted(seen)
-
-    def conv_interior(self, lam: Weight):
-        orbit = set(self.weyl_orbit(lam))
-        return [mu for mu in self.conv_set(lam) if mu not in orbit]
 
 
 # ---------------------------------------------------------------------------

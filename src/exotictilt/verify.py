@@ -13,7 +13,7 @@ from .rootdata import RootSystem
 from . import affweyl, exotic_k, heckebraid, tiltmult
 from .charring import CharacterMultiset, WEYL_BASIS
 from .affweyl import aff_length, aff_mul, simple_generators, t_lambda
-from .heckebraid import HeckeElement, Report
+from .heckebraid import BraidWord, HeckeElement, Report
 
 # Budgets on the weight box (2 radius + 1)^rank of a run, checked before any
 # suite starts.  BOX_BOUND caps the weights, which every suite walks: it
@@ -24,6 +24,13 @@ from .heckebraid import HeckeElement, Report
 # default radius up to rank 4.
 BOX_BOUND = 10**5
 PAIR_BOUND = 2 * 10**6
+# BERNSTEIN_BOUND caps the work of relation (2) of the bernstein suite,
+# theta_lam theta_mu over every pair of its box: sum_lam |theta_lam| (terms)
+# times sum_mu len(t_mu+) + len(t_mu-) (the letters of theta_mu).  A unit
+# took 30 us (A2, radius 3) to 110 us (B3, radius 1), so that is at most
+# some 20 seconds; it admits B2 at radius 2 (115290) and A3 at radius 1
+# (82800), and refuses G2 and A3 at radius 2.
+BERNSTEIN_BOUND = 2 * 10**5
 
 
 def suite_bernstein(rs: RootSystem, radius: int, seed: int = 0):
@@ -33,7 +40,40 @@ def suite_bernstein(rs: RootSystem, radius: int, seed: int = 0):
     ]
 
 
+def reflection_closure(rs: RootSystem, lam):
+    """The weights mu >= lam of the W-orbit of lam, by a walk that does not
+    touch W_aff: the closure of x -> s_b(x) = x - <x, b_vee> b over the
+    positive roots b with <x, b_vee> < 0, the steps with s_b(x) - x in
+    Z_{>0} b."""
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for root in rs.positive_roots:
+                c = rs.pairing(x, root)
+                if c < 0:
+                    y = tuple([a - c * b for a, b in zip(x, root.coords)])
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def suite_order(rs: RootSystem, radius: int, seed: int = 0):
+    """Length invariants, the order on weights and the group Omega.
+
+    The order lam <= mu (w_lam <= w_mu in the Bruhat order) is checked
+    three ways on each pair of the box in one coset of X / Z.Phi: it implies
+    dom(lam) <= dom(mu) in the dominance order; on two dominant weights it
+    is the dominance order; and on one W-orbit it is the reflection
+    closure above.  The last rests on the Bruhat order on W / W_lam being
+    generated by reflections (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, GTM 231, section 2.5).  On one orbit the order is not the
+    dominance order from rank 3 on: in A3, (-2,1,0) and (0,-1,2) differ by
+    alpha_1 + alpha_3 >= 0, but no reflection step joins them.
+    """
     box = affweyl.weight_box(rs, radius)
     gens = simple_generators(rs)
     order = affweyl.generator_order(rs)
@@ -65,6 +105,7 @@ def suite_order(rs: RootSystem, radius: int, seed: int = 0):
         )
 
     order_rep = Report(f"order-vs-dominance[{rs.spec}, radius {radius}]")
+    above = {}
     for lam in box:
         for mu in box:
             leq = affweyl.order_leq_weights(rs, lam, mu)
@@ -72,12 +113,21 @@ def suite_order(rs: RootSystem, radius: int, seed: int = 0):
             if not same_coset:
                 order_rep.check(not leq, f"cross-coset comparable: {lam},{mu}")
                 continue
-            both_dom = rs.is_dominant(lam) and rs.is_dominant(mu)
-            same_orbit = rs.dom(lam) == rs.dom(mu)
-            if both_dom or same_orbit:
+            order_rep.check(
+                not leq or rs.dominance_leq(rs.dom(lam), rs.dom(mu)),
+                f"lam <= mu but not dom(lam) <= dom(mu) at {lam},{mu}",
+            )
+            if rs.is_dominant(lam) and rs.is_dominant(mu):
                 order_rep.check(
                     leq == rs.dominance_leq(lam, mu),
                     f"order/dominance mismatch at {lam},{mu}",
+                )
+            elif rs.dom(lam) == rs.dom(mu):
+                if lam not in above:
+                    above[lam] = reflection_closure(rs, lam)
+                order_rep.check(
+                    leq == (mu in above[lam]),
+                    f"order/reflection-closure mismatch at {lam},{mu}",
                 )
 
     omega_rep = Report(f"omega-group[{rs.spec}]")
@@ -117,7 +167,7 @@ def suite_module(rs: RootSystem, radius: int, seed: int = 0):
     for w in rs.weyl_group():
         x = affweyl.AffineElement(w.matrix, rs.zero())
         sph.check(
-            exotic_k.act_basis(rs, m0, x)
+            exotic_k.act_hecke(rs, m0, HeckeElement.basis(x))
             == m0.scale(LaurentPoly.v(-w.length)),
             f"m_0 . T_w != v^-len(w) m_0 at length {w.length}",
         )
@@ -130,7 +180,7 @@ def suite_module(rs: RootSystem, radius: int, seed: int = 0):
         wl, _ = affweyl.w_lambda(rs, lam)
         shift = aff_length(rs, wl) - aff_length(rs, x)
         jformula.check(
-            exotic_k.act_basis(rs, m0, x)
+            exotic_k.act_hecke(rs, m0, HeckeElement.basis(x))
             == exotic_k.KClass.basis(lam).scale(LaurentPoly.v(shift)),
             f"m_0 . T_x formula fails at x = w t_{lam}",
         )
@@ -154,7 +204,8 @@ def suite_module(rs: RootSystem, radius: int, seed: int = 0):
         nab0 = exotic_k.KClass.basis(lam).scale(LaurentPoly.v(rs.delta(lam)))
         for i in range(rs.rank):
             slam = rs.apply(rs.simple_reflection_matrix(i), lam)
-            acted = exotic_k.act_simple_inv(rs, nab0, i + 1)
+            inverse = BraidWord((("s", i + 1, -1),))
+            acted = exotic_k.act_hecke(rs, nab0, inverse)
             if slam == lam:
                 expect = nab0.scale(LaurentPoly.v(1))
             elif rs.dominance_leq(slam, lam):
@@ -261,6 +312,34 @@ def _check_budget(rs: RootSystem, names, radius: int) -> None:
                 f"{rs.spec} makes {pairs} comparisons, above the bound "
                 f"{PAIR_BOUND}"
             )
+    if "bernstein" in names:
+        rs.weyl_group()   # relation (1) walks W x W: refuse a W over its bound
+        box_radius = min(radius, 2)
+        work = _bernstein_work(rs, box_radius)
+        if work > BERNSTEIN_BOUND:
+            raise ValueError(
+                f"the bernstein suite on the weight box of radius "
+                f"{box_radius} on {rs.spec} makes an estimated {work} or more "
+                f"sweep steps, above the bound {BERNSTEIN_BOUND}"
+            )
+
+
+def _bernstein_work(rs: RootSystem, radius: int) -> int:
+    """The work estimate of BERNSTEIN_BOUND on the box of the given radius.
+    Each theta_lam counts one term until it is computed, and the thetas
+    (memoised for the suite) are computed only while the estimate is within
+    the bound, so a refused box costs little more than the bound allows."""
+    box = affweyl.weight_box(rs, radius)
+    letters = sum(
+        aff_length(rs, t_lambda(rs, mu)) + aff_length(rs, t_lambda(rs, nu))
+        for mu, nu in (heckebraid.theta_decomposition(rs, lam) for lam in box)
+    )
+    terms = len(box)
+    for lam in box:
+        if terms * letters > BERNSTEIN_BOUND:
+            break
+        terms += len(heckebraid.theta(rs, lam).terms) - 1
+    return terms * letters
 
 
 def run_suites(rs: RootSystem, which: str, radius: int, seed: int = 0):

@@ -65,9 +65,9 @@ def test_criterion_01_hecke_relations():
                     conj = aw.aff_mul(rs, aw.aff_mul(rs, om, g),
                                       aw.aff_inv(rs, om))
                     assert conj in gen_set
-                    lhs = hb.mul_omega(
+                    lhs = hb.mul_basis(
                         rs,
-                        hb.mul_omega(rs, hb.T(rs, g), aw.aff_inv(rs, om)),
+                        hb.mul_basis(rs, hb.T(rs, g), aw.aff_inv(rs, om)),
                         om, "left",
                     )
                     assert lhs == hb.T(rs, conj)

@@ -12,6 +12,48 @@ from exotictilt.rootdata import RootSystemError
 from conftest import get_rs, specs_up_to_rank
 
 
+# --- oracles ------------------------------------------------------------------
+
+
+def _kp(rs, i, coords, dp):
+    """Oracle for the dense Kostant table: the recursion over the positive
+    roots up to index i, memoised in dp by (i, coords)."""
+    if all(x == 0 for x in coords):
+        return ONE
+    if i < 0:
+        return ZERO
+    key = (i, coords)
+    res = dp.get(key)
+    if res is not None:
+        return res
+    root = rs.positive_roots[i].root_coords
+    total = ZERO
+    cur = coords
+    k = 0
+    while all(x >= 0 for x in cur):
+        part = _kp(rs, i - 1, cur, dp)
+        if part:
+            total = total + part * LaurentPoly.v(k)
+        cur = tuple(a - b for a, b in zip(cur, root))
+        k += 1
+    dp[key] = total
+    return total
+
+
+def lusztig_q_wsum(rs, lam, mu):
+    """Oracle for lusztig_q: the alternating sum over all of W, enumerated."""
+    rho = rs.rho
+    shifted = rs.add(lam, rho)
+    target = rs.add(mu, rho)
+    total = ZERO
+    for w in rs.weyl_group():
+        arg = rs.sub(rs.apply(w.matrix, shifted), target)
+        p = ch.kostant_partition(rs, arg)
+        if p:
+            total = total + (p if w.length % 2 == 0 else -p)
+    return total
+
+
 def test_kostant_examples(a1, a2):
     assert ch.kostant_partition(a1, (0,)) == ONE
     assert ch.kostant_partition(a1, (-2,)) == ZERO
@@ -90,7 +132,7 @@ def test_lusztig_orbit_walk_matches_wsum(data):
     mu = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=rs.rank,
                                   max_size=rs.rank)))
     got = ch.lusztig_q(rs, lam, mu)
-    assert got == ch.lusztig_q_wsum(rs, lam, mu), (rs.spec, lam, mu)
+    assert got == lusztig_q_wsum(rs, lam, mu), (rs.spec, lam, mu)
     if rs.root_coords_int(rs.sub(lam, mu)) is None:
         assert got == ZERO
     if rs.is_dominant(lam):
@@ -98,7 +140,7 @@ def test_lusztig_orbit_walk_matches_wsum(data):
 
 
 def test_lusztig_off_lattice_and_non_dominant(a1, a2):
-    for q in (ch.lusztig_q, ch.lusztig_q_wsum):
+    for q in (ch.lusztig_q, lusztig_q_wsum):
         assert q(a2, (1, 0), (0, 0)) == ZERO              # not in lam + Z.Phi
         assert q(a2, (1, 1), (-1, 2)) == LaurentPoly({1: 1})   # mu = alpha_2
         assert q(a2, (0, 0), (0, -3)) == LaurentPoly({0: 1, 1: -1, 2: -1, 3: 1})
@@ -113,7 +155,7 @@ def test_lusztig_orbit_walk_rank_4_fundamental(spec):
     zero = rs.zero()
     for i in range(rs.rank):
         lam = tuple(int(j == i) for j in range(rs.rank))
-        assert ch.lusztig_q(rs, lam, zero) == ch.lusztig_q_wsum(rs, lam, zero), \
+        assert ch.lusztig_q(rs, lam, zero) == lusztig_q_wsum(rs, lam, zero), \
             (spec, lam)
 
 
@@ -121,12 +163,12 @@ def test_kp_recursion_direct(b2):
     """The recursive Kostant recursion on simple-root coordinates, with
     a = alpha_1 long and b = alpha_2 short; positive roots a, b, a+b, a+2b."""
     dp = {}
-    assert ch._kp(b2, len(b2.positive_roots) - 1, (0, 0), dp) == ONE
+    assert _kp(b2, len(b2.positive_roots) - 1, (0, 0), dp) == ONE
     # a + b: {a, b} or {a+b}
-    assert ch._kp(b2, len(b2.positive_roots) - 1, (1, 1), dp) == \
+    assert _kp(b2, len(b2.positive_roots) - 1, (1, 1), dp) == \
         LaurentPoly({1: 1, 2: 1})
     # a + 2b: {a, b, b}, {a+b, b}, {a+2b}
-    assert ch._kp(b2, len(b2.positive_roots) - 1, (1, 2), dp) == \
+    assert _kp(b2, len(b2.positive_roots) - 1, (1, 2), dp) == \
         LaurentPoly({1: 1, 2: 1, 3: 1})
 
 
@@ -137,7 +179,7 @@ def _weight_of(rs, coords):
 
 
 def _kp_oracle(rs, coords, dp):
-    return ch._kp(rs, len(rs.positive_roots) - 1, tuple(coords), dp)
+    return _kp(rs, len(rs.positive_roots) - 1, tuple(coords), dp)
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from exotictilt import cli
 
 
@@ -410,3 +412,18 @@ def test_verify_order_suite_budget_exits_2_quickly():
         assert "4751758345 comparisons" in proc.stderr, suite
         assert "Traceback" not in proc.stderr, suite
         assert elapsed < 1.0, suite
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3"])
+def test_verify_rank_3_defaults_are_bounded(spec):
+    """Every suite at radius 2: relation (2) of the bernstein suite alone
+    would run for minutes, so the run passes or is refused with exit 2
+    within seconds."""
+    proc, elapsed = _timed_cli("verify", spec, timeout=30)
+    assert proc.returncode in (0, 2), proc.stderr
+    if proc.returncode == 2:
+        assert proc.stdout == "" and proc.stderr.startswith("error:")
+        assert "above the bound" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 10.0
+

@@ -23,8 +23,8 @@ def test_act_simple_examples(a1):
 def test_act_omega_and_theta(a1):
     m0 = ek.m0(a1)
     om = aw.omega_of_weight(a1, (1,))
-    assert ek.act_omega(a1, m0, om) == KClass.basis((-1,))
-    assert ek.act_theta(a1, m0, (1,)) == KClass.basis((1,))
+    assert ek.act_hecke(a1, m0, hb.T(a1, om)) == KClass.basis((-1,))
+    assert ek.act_hecke(a1, m0, hb.theta(a1, (1,))) == KClass.basis((1,))
     assert ek.act_hecke(a1, m0, hb.unit(a1)) == m0
 
 
@@ -40,7 +40,7 @@ def test_nabla_is_word_action(a2):
     """m_lam agrees with m_0 . T_{w_lam}."""
     for lam in itertools.product(range(-2, 3), repeat=2):
         w, _ = aw.w_lambda(a2, lam)
-        assert ek.act_basis(a2, ek.m0(a2), w) == KClass.basis(lam)
+        assert ek.act_hecke(a2, ek.m0(a2), hb.T(a2, w)) == KClass.basis(lam)
 
 
 def test_line_bundle_examples(a1):
@@ -100,7 +100,8 @@ def test_spherical_character():
         m0 = ek.m0(rs)
         for w in rs.weyl_group():
             x = aw.AffineElement(w.matrix, rs.zero())
-            assert ek.act_basis(rs, m0, x) == m0.scale(LaurentPoly.v(-w.length))
+            assert ek.act_hecke(rs, m0, hb.T(rs, x)) == \
+                m0.scale(LaurentPoly.v(-w.length))
 
 
 @settings(max_examples=50, deadline=None)
@@ -112,7 +113,7 @@ def test_braid_action_normalization(data):
     lam = data.draw(st.tuples(*[st.integers(-2, 2)] * rs.rank))
     x = aw.AffineElement(w.matrix, lam)
     shift = aw.aff_length(rs, aw.w_lambda(rs, lam)[0]) - aw.aff_length(rs, x)
-    assert ek.act_basis(rs, ek.m0(rs), x) == \
+    assert ek.act_hecke(rs, ek.m0(rs), hb.T(rs, x)) == \
         KClass.basis(lam).scale(LaurentPoly.v(shift))
 
 
@@ -167,7 +168,7 @@ def test_costandard_reflection_shadow(b2):
         nab0 = KClass.basis(lam).scale(LaurentPoly.v(b2.delta(lam)))
         for i in range(2):
             slam = b2.apply(b2.simple_reflection_matrix(i), lam)
-            acted = ek.act_simple_inv(b2, nab0, i + 1)
+            acted = ek.act_hecke(b2, nab0, hb.BraidWord((("s", i + 1, -1),)))
             if slam == lam:
                 assert acted == nab0.scale(V)
             elif b2.dominance_leq(slam, lam):

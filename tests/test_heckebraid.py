@@ -2,8 +2,8 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from exotictilt import affweyl as aw, heckebraid as hb
-from exotictilt.laurent import ONE, V_MINUS_VINV, VINV_MINUS_V
+from exotictilt import affweyl as aw, exotic_k as ek, heckebraid as hb
+from exotictilt.laurent import LaurentPoly, ONE, V_MINUS_VINV, VINV_MINUS_V
 
 from conftest import get_rs
 
@@ -42,12 +42,15 @@ def test_identity_and_linearity(a2):
 def test_inverse_generators(a1):
     s = aw.simple_generators(a1)[1]
     om = aw.omega_of_weight(a1, (1,))
-    tsinv = hb.hecke_inv_generator(a1, s)
+    tsinv = hb.evaluate_word(a1, hb.BraidWord((("s", 1, -1),)))
     assert hb.hecke_mul(a1, tsinv, hb.T(a1, s)) == hb.unit(a1)
+    for side in ("right", "left"):
+        assert hb.mul_basis_inv(a1, hb.unit(a1), s, side) == tsinv
     # T_s - T_s^-1 = (v^-1 - v) T_e
     diff = hb.T(a1, s) - tsinv
     assert diff == hb.unit(a1).scale(VINV_MINUS_V)
-    assert hb.hecke_inv_generator(a1, om) == hb.T(a1, om)  # omega self-inverse
+    ominv = hb.evaluate_word(a1, hb.BraidWord((("omega", om, -1),)))
+    assert ominv == hb.T(a1, om)  # omega self-inverse
 
 
 def test_braid_relations():
@@ -77,8 +80,8 @@ def test_omega_conjugation_sends_simples_to_simples():
             for g in gens.values():
                 conj = aw.aff_mul(rs, aw.aff_mul(rs, om, g), aw.aff_inv(rs, om))
                 assert conj in gen_set
-                lhs = hb.mul_omega(
-                    rs, hb.mul_omega(rs, hb.T(rs, g), aw.aff_inv(rs, om), "right"),
+                lhs = hb.mul_basis(
+                    rs, hb.mul_basis(rs, hb.T(rs, g), aw.aff_inv(rs, om), "right"),
                     om, "left",
                 )
                 assert lhs == hb.T(rs, conj)
@@ -164,6 +167,34 @@ def test_left_right_sweeps_agree_with_products(a2):
         hb.hecke_mul(a2, xi, hb.T(a2, x))
     assert hb.mul_basis(a2, xi, x, "left") == \
         hb.hecke_mul(a2, hb.T(a2, x), xi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_word_sweeps_invert_on_both_sides(data):
+    """The one sweep behind both regular modules and the K-module: T_x and
+    (T_x)^{-1} undo each other on either side, the left sweep is the
+    product T_x * xi, and a word followed by its inverse fixes a K-class."""
+    rs = get_rs(data.draw(st.sampled_from(["A2", "B2"])))
+    order = aw.generator_order(rs)
+    w = data.draw(st.sampled_from(rs.weyl_group()))
+    t = data.draw(st.tuples(*[st.integers(-1, 1)] * rs.rank))
+    x = aw.AffineElement(w.matrix, t)
+    xi = T_word(rs, data.draw(st.lists(st.sampled_from(order), max_size=3)))
+    for side in ("right", "left"):
+        there = hb.mul_basis(rs, xi, x, side)
+        assert hb.mul_basis_inv(rs, there, x, side) == xi, side
+    assert hb.mul_basis(rs, xi, x, "left") == hb.hecke_mul(rs, hb.T(rs, x), xi)
+
+    om = list(aw.omega_elements(rs).values())
+    letters = st.one_of(
+        st.tuples(st.just("s"), st.sampled_from(order), st.sampled_from([1, -1])),
+        st.tuples(st.just("omega"), st.sampled_from(om), st.sampled_from([1, -1])),
+    )
+    word = hb.BraidWord(tuple(data.draw(st.lists(letters, max_size=5))))
+    lam = data.draw(st.tuples(*[st.integers(-2, 2)] * rs.rank))
+    c = ek.KClass.basis(lam).scale(LaurentPoly({0: 2, 1: -1}))
+    assert ek.act_hecke(rs, ek.act_hecke(rs, c, word), word.inverse()) == c
 
 
 def test_verify_bernstein_passes(a1, a2):

@@ -1,6 +1,6 @@
 import pytest
 
-from exotictilt import KClass, build_root_system, cli, verify
+from exotictilt import KClass, affweyl, build_root_system, cli, verify
 
 from conftest import get_rs
 
@@ -65,3 +65,50 @@ def test_anchors_suite_reports_a_rigged_line_bundle(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_root_system", lambda spec: rs)
     assert cli.run(["verify", "A1", "--suite", "anchors"]) == 1
     assert "line-bundle-anchors[A1, radius 2]: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec,radius", [("A3", 2), ("B3", 1), ("C3", 1)])
+def test_order_suite_passes_in_rank_3(spec, radius):
+    for rep in verify.run_suites(get_rs(spec), "order", radius=radius):
+        assert rep.passed, rep.summary()
+
+
+def test_reflection_closure_is_not_dominance():
+    """In A3, mu - lam = alpha_1 + alpha_3 >= 0 on one orbit, but no
+    reflection step joins lam to mu, and lam is not below mu."""
+    a3 = get_rs("A3")
+    lam, mu = (-2, 1, 0), (0, -1, 2)
+    assert a3.dominance_leq(lam, mu) and a3.dom(lam) == a3.dom(mu)
+    above = verify.reflection_closure(a3, lam)
+    assert mu not in above and a3.dom(lam) in above
+    assert not affweyl.order_leq_weights(a3, lam, mu)
+    antidominant = (-1, 0, -1)
+    assert verify.reflection_closure(a3, antidominant) == \
+        set(a3.weyl_orbit(antidominant))
+
+
+def test_order_suite_reports_dominance_on_an_orbit(monkeypatch):
+    """An order that were dominance on each W-orbit fails the reflection
+    closure check."""
+    a3 = get_rs("A3")
+    real = affweyl.order_leq_weights
+
+    def rigged(rs, lam, mu):
+        if rs.dom(lam) == rs.dom(mu):
+            return rs.dominance_leq(lam, mu)
+        return real(rs, lam, mu)
+    monkeypatch.setattr(affweyl, "order_leq_weights", rigged)
+    reports = verify.run_suites(a3, "order", radius=2)
+    failed = [r for r in reports if not r.passed]
+    assert [r.name.split("[")[0] for r in failed] == ["order-vs-dominance"]
+    assert all("reflection-closure" in f for f in failed[0].failures)
+
+
+def test_bernstein_budget():
+    """The estimate of relation (2), exact within the bound; A3 at radius 2
+    (19468500) is refused after a few thetas, B3 at once."""
+    assert verify._bernstein_work(get_rs("B2"), 2) == 115290
+    assert verify._bernstein_work(get_rs("A3"), 1) == 82800
+    for spec in ("A3", "B3"):
+        with pytest.raises(ValueError, match="above the bound 200000"):
+            verify.run_suites(get_rs(spec), "bernstein", radius=2)
