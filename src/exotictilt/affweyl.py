@@ -12,10 +12,12 @@ extends the Coxeter length of W_aff^Cox = W ⋉ Z.Phi to the whole group; the
 length-zero elements form the finite abelian subgroup Omega ~ X / Z.Phi.
 
 Simple reflection ids: positive ints 1..rank are the finite generators
-(s_{alpha_i} with 1-based i); id -c (c >= 0) is the affine generator of the
-c-th irreducible component, found by brute-force search for the unique
-length-1 element of the form s_gamma t_{-gamma} with gamma a positive root
-of the component.  So "s0" is the affine generator of the first component.
+(s_{alpha_i} with 1-based i); id -c (c >= 0) is the affine generator
+s_gamma t_{-gamma} of the c-th irreducible component, with gamma its highest
+short root.  So "s0" is the affine generator of the first component.
+Multiplying by one generator and asking whether the length went down is
+``gen_step``, in closed form from the generator's simple affine root;
+``aff_mul`` and ``aff_length`` are the general path and its oracle.
 """
 
 from __future__ import annotations
@@ -72,34 +74,100 @@ def aff_length(rs: RootSystem, x: AffineElement) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Simple generators
+# Simple generators and the one-generator step
+
+
+def gen_roots(rs: RootSystem) -> dict:
+    """id -> (beta, beta_vee, n) for the Coxeter generators of W_aff^Cox:
+    s = s_beta t_{n beta}, the reflection in the simple affine root
+    a_s = beta + n delta.  A finite s_i is (alpha_i, alpha_i_vee, 0).  The
+    affine generator of a component is s_0 = s_gamma t_{-gamma}, that is
+    (-gamma, -gamma_vee, 1), where gamma is the lowest dominant positive root
+    of the component, its highest short root; a length-1 check guards this
+    closed form."""
+    memo = rs.memo("gen_roots")
+    if memo:
+        return memo
+    table = {}
+    for i in range(rs.rank):
+        table[i + 1] = (rs.simple_roots[i],
+                        tuple(int(j == i) for j in range(rs.rank)), 0)
+    for c, (indices, _) in enumerate(rs.components):
+        gamma = next(
+            r for r in rs.positive_roots
+            if all(a >= 0 for a in r.coords)
+            and all(r.root_coords[j] == 0 or j in indices for j in range(rs.rank))
+        )
+        s0 = AffineElement(rs.reflection_matrix(gamma), rs.neg(gamma.coords))
+        if aff_length(rs, s0) != 1:
+            raise RootSystemError(
+                f"affine generator of component {c} has length "
+                f"{aff_length(rs, s0)}, not 1"
+            )
+        table[-c] = (s0.t, rs.neg(gamma.coroot), 1)
+    memo.update(table)
+    return memo
 
 
 def simple_generators(rs: RootSystem) -> dict:
     """id -> AffineElement for all Coxeter generators of W_aff^Cox."""
     memo = rs.memo("gens")
-    if memo:
-        return memo
-    gens = {}
-    for i in range(rs.rank):
-        gens[i + 1] = AffineElement(rs.simple_reflection_matrix(i), rs.zero())
-    for c, (indices, _) in enumerate(rs.components):
-        found = []
-        for r in rs.positive_roots:
-            if any(r.root_coords[j] != 0 and j not in indices
-                   for j in range(rs.rank)):
-                continue
-            cand = AffineElement(rs.reflection_matrix(r), rs.neg(r.coords))
-            if aff_length(rs, cand) == 1:
-                found.append(cand)
-        if len(found) != 1:
-            raise RootSystemError(
-                f"affine generator search failed for component {c}: "
-                f"{len(found)} candidates"
-            )
-        gens[-c] = found[0]
-    memo.update(gens)
+    if not memo:
+        ident = identity(rs)
+        memo.update((gid, gen_step(rs, ident, gid)[0]) for gid in gen_roots(rs))
     return memo
+
+
+# x = w t_lam acts on affine roots by x(beta + n delta) = w beta +
+# (n - <lam, beta_vee>) delta, and x s < x exactly when x(a_s) < 0
+# (Bjorner-Brenti, Combinatorics of Coxeter Groups, GTM 231, Prop. 4.4.6):
+# c = n - <lam, beta_vee> < 0, or c = 0 and w beta < 0.  On the left,
+# s x < x exactly when x^-1 = w^-1 t_{-w lam} has s as a right descent; the
+# row r = beta_vee^T w pairs with lam to <w lam, beta_vee> and is the coroot
+# (w^-1 beta)_vee in simple-coroot coordinates, so its sum has the sign of
+# w^-1 beta.  A root's sign is that of its height, <height_row, root>.
+
+
+def descends(rs: RootSystem, x: AffineElement, gid: int, side="right") -> bool:
+    """len(x s) < len(x) (or len(s x) < len(x) for side='left')."""
+    beta, cobeta, n = gen_roots(rs)[gid]
+    w, lam = x
+    if side == "right":
+        c = n - sum(map(mul, cobeta, lam))
+        return c < 0 or (
+            c == 0 and sum(map(mul, rs.height_row, rs.apply(w, beta))) < 0)
+    r = [sum(map(mul, cobeta, col)) for col in zip(*w)]
+    c = n + sum(map(mul, r, lam))
+    return c < 0 or (c == 0 and sum(r) < 0)
+
+
+def gen_step(rs: RootSystem, x: AffineElement, gid: int, side="right"):
+    """(y, down): y = x s (or s x for side='left') for the generator s = gid,
+    and whether len(y) < len(x).
+
+    x s = (w - (w beta) beta_vee^T) t_{lam + c beta}, and
+    s x = (w - beta r) t_{lam + n w^-1 beta}, with c and r as for descends."""
+    beta, cobeta, n = gen_roots(rs)[gid]
+    w, lam = x
+    if side == "right":
+        wb = [sum(map(mul, row, beta)) for row in w]
+        c = n - sum(map(mul, cobeta, lam))
+        down = c < 0 or (c == 0 and sum(map(mul, rs.height_row, wb)) < 0)
+        return AffineElement(
+            tuple([tuple([a - b * e for a, e in zip(row, cobeta)])
+                   for row, b in zip(w, wb)]),
+            tuple([a + c * b for a, b in zip(lam, beta)]),
+        ), down
+    r = [sum(map(mul, cobeta, col)) for col in zip(*w)]
+    c = n + sum(map(mul, r, lam))
+    down = c < 0 or (c == 0 and sum(r) < 0)
+    if n:
+        lam = rs.add(lam, rs.apply(rs.mat_inv(w), beta))
+    return AffineElement(
+        tuple([tuple([a - b * e for a, e in zip(row, r)])
+               for row, b in zip(w, beta)]),
+        lam,
+    ), down
 
 
 def generator_order(rs: RootSystem):
@@ -125,21 +193,15 @@ def reduced_word(rs: RootSystem, x: AffineElement):
     res = memo.get(x)
     if res is not None:
         return res
-    gens = simple_generators(rs)
     order = generator_order(rs)
     letters = []
     cur = x
-    clen = aff_length(rs, cur)
-    while clen > 0:
-        for gid in order:
-            nxt = aff_mul(rs, cur, gens[gid])
-            nlen = aff_length(rs, nxt)
-            if nlen < clen:
-                letters.append(gid)
-                cur, clen = nxt, nlen
-                break
-        else:
-            raise AssertionError("positive-length element with no right descent")
+    while True:
+        gid = next((g for g in order if descends(rs, cur, g)), None)
+        if gid is None:     # no right descent: cur has length 0
+            break
+        letters.append(gid)
+        cur = gen_step(rs, cur, gid)[0]
     res = (cur, tuple(reversed(letters)))
     memo[x] = res
     return res
@@ -207,35 +269,29 @@ def bruhat_leq(rs: RootSystem, x: AffineElement, y: AffineElement) -> bool:
 
 def _bruhat_cox(rs, u, w) -> bool:
     memo = rs.memo("bruhat")
-    gens = simple_generators(rs)
     order = generator_order(rs)
     ident = identity(rs)
 
-    def rec(u, w):
+    def rec(u, w, lu, lw):
         if u == w or u == ident:
             return True
-        lu, lw = aff_length(rs, u), aff_length(rs, w)
         if lu > lw or lw == 0:
             return False
         key = (u, w)
         res = memo.get(key)
         if res is not None:
             return res
-        for gid in order:
-            sw = aff_mul(rs, gens[gid], w)
-            if aff_length(rs, sw) < lw:
-                su = aff_mul(rs, gens[gid], u)
-                if aff_length(rs, su) < lu:
-                    res = rec(su, sw)
-                else:
-                    res = rec(u, sw)
-                break
+        gid = next(g for g in order if descends(rs, w, g, "left"))
+        sw = gen_step(rs, w, gid, "left")[0]
+        su, down = gen_step(rs, u, gid, "left")
+        if down:
+            res = rec(su, sw, lu - 1, lw - 1)
         else:
-            raise AssertionError("no left descent found")
+            res = rec(u, sw, lu, lw - 1)
         memo[key] = res
         return res
 
-    return rec(u, w)
+    return rec(u, w, aff_length(rs, u), aff_length(rs, w))
 
 
 # ---------------------------------------------------------------------------

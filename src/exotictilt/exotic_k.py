@@ -23,7 +23,7 @@ from .laurent import Combination, LaurentPoly, ONE, VINV, VINV_MINUS_V
 from .rootdata import RootSystem, Weight
 from . import affweyl
 from .heckebraid import BraidWord, act, theta_letters, word_letters
-from .affweyl import AffineElement, aff_length, aff_mul, simple_generators
+from .affweyl import AffineElement, aff_length, aff_mul, gen_step
 
 
 KClass = Combination   # linear combinations of basis classes m_lam
@@ -44,13 +44,12 @@ def _basis_gen_action(rs, lam: Weight, gid: int):
     res = memo.get(key)
     if res is not None:
         return res
-    w, _ = affweyl.w_lambda(rs, lam)
-    u = aff_mul(rs, w, simple_generators(rs)[gid])
+    u, down = gen_step(rs, affweyl.w_lambda(rs, lam)[0], gid)
     mu = u.t
     if mu == lam:
         # u = (finite simple) * w_lam is not minimal in W t_lam
         res = ((lam, VINV),)
-    elif aff_length(rs, u) == aff_length(rs, w) + 1:
+    elif not down:
         res = ((mu, ONE),)
     else:
         res = ((mu, ONE), (lam, VINV_MINUS_V))

@@ -20,11 +20,12 @@ on one basis key: H on the right, H on the left, or the K-module of exotic_k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .laurent import Combination, ONE, VINV_MINUS_V, V_MINUS_VINV, _accumulate
 from .rootdata import RootSystem, Weight
 from . import affweyl
-from .affweyl import AffineElement, aff_length, aff_mul, simple_generators
+from .affweyl import AffineElement, aff_length, aff_mul, gen_step
 
 
 HeckeElement = Combination   # linear combinations of basis elements T_x
@@ -106,24 +107,20 @@ def act(rs, c: Combination, letters, step, move) -> Combination:
     return Combination(terms)
 
 
-def _right_step(rs, x, gid):
-    y = aff_mul(rs, x, simple_generators(rs)[gid])
-    if aff_length(rs, y) > aff_length(rs, x):
-        return ((y, ONE),)
-    return ((y, ONE), (x, VINV_MINUS_V))
-
-
-def _left_step(rs, x, gid):
-    y = aff_mul(rs, simple_generators(rs)[gid], x)
-    if aff_length(rs, y) > aff_length(rs, x):
-        return ((y, ONE),)
-    return ((y, ONE), (x, VINV_MINUS_V))
+def _step(rs, x, gid, side):
+    """T_x T_s (or T_s T_x for side='left')."""
+    y, down = gen_step(rs, x, gid, side)
+    if down:
+        return ((y, ONE), (x, VINV_MINUS_V))
+    return ((y, ONE),)
 
 
 # The regular modules: H acting on itself on the right and on the left.
 _SIDES = {
-    "right": (_right_step, lambda rs, x, omega: aff_mul(rs, x, omega)),
-    "left": (_left_step, lambda rs, x, omega: aff_mul(rs, omega, x)),
+    "right": (partial(_step, side="right"),
+              lambda rs, x, omega: aff_mul(rs, x, omega)),
+    "left": (partial(_step, side="left"),
+             lambda rs, x, omega: aff_mul(rs, omega, x)),
 }
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .laurent import LaurentPoly, VINV
-from .rootdata import RootSystem
+from .rootdata import WEYL_BOUND, RootSystem
 from . import affweyl, exotic_k, heckebraid, tiltmult
 from .charring import CharacterMultiset, WEYL_BASIS
 from .affweyl import aff_length, aff_mul, simple_generators, t_lambda
@@ -29,8 +29,13 @@ PAIR_BOUND = 2 * 10**6
 # times sum_mu len(t_mu+) + len(t_mu-) (the letters of theta_mu).  A unit
 # took 30 us (A2, radius 3) to 110 us (B3, radius 1), so that is at most
 # some 20 seconds; it admits B2 at radius 2 (115290) and A3 at radius 1
-# (82800), and refuses G2 and A3 at radius 2.
+# (82800), and refuses G2 and A3 at radius 2.  BERNSTEIN_PAIR_BOUND caps
+# relation (1), which walks every pair of W x W whatever the radius: a pair
+# took 22 us (B3) to 33 us (D4), 31 us over the 518400 pairs of A5, so that
+# is at most some 20 seconds; it admits A5, B4, C4 and D4, and refuses F4
+# (1327104 pairs), D5, B5 and E6.
 BERNSTEIN_BOUND = 2 * 10**5
+BERNSTEIN_PAIR_BOUND = 6 * 10**5
 
 
 def suite_bernstein(rs: RootSystem, radius: int, seed: int = 0):
@@ -313,7 +318,15 @@ def _check_budget(rs: RootSystem, names, radius: int) -> None:
                 f"{PAIR_BOUND}"
             )
     if "bernstein" in names:
-        rs.weyl_group()   # relation (1) walks W x W: refuse a W over its bound
+        size = rs.weyl_order()
+        if size > WEYL_BOUND:
+            rs.weyl_group()   # raises the enumeration bound's error at once
+        if size * size > BERNSTEIN_PAIR_BOUND:
+            raise ValueError(
+                f"relation (1) of the bernstein suite on {rs.spec} walks "
+                f"{size * size} pairs of Weyl group elements, above the bound "
+                f"{BERNSTEIN_PAIR_BOUND}"
+            )
         box_radius = min(radius, 2)
         work = _bernstein_work(rs, box_radius)
         if work > BERNSTEIN_BOUND:

@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from exotictilt import affweyl as aw
@@ -200,3 +201,93 @@ def test_length_invariants_radius4(b2):
             assert aw.aff_length(b2, aw.aff_mul(b2, om, x)) == lt
         for gid in gens:
             assert abs(aw.aff_length(b2, aw.aff_mul(b2, x, gens[gid])) - lt) == 1
+
+
+# --- the closed-form generator step against the general path --------------
+
+
+def oracle_affine_generators(rs):
+    """The affine generators by brute-force search: for each component, the
+    unique s_gamma t_{-gamma} of length 1 over its positive roots gamma."""
+    out = {}
+    for c, (indices, _) in enumerate(rs.components):
+        found = [
+            aw.AffineElement(rs.reflection_matrix(r), rs.neg(r.coords))
+            for r in rs.positive_roots
+            if all(r.root_coords[j] == 0 or j in indices for j in range(rs.rank))
+        ]
+        found = [x for x in found if aw.aff_length(rs, x) == 1]
+        assert len(found) == 1, (rs.spec, c, len(found))
+        out[-c] = found[0]
+    return out
+
+
+def oracle_reduced_word(rs, x):
+    """Greedy right-descent stripping by aff_mul and aff_length, the smallest
+    generator id first."""
+    gens = aw.simple_generators(rs)
+    letters = []
+    cur, clen = x, aw.aff_length(rs, x)
+    while clen > 0:
+        for gid in aw.generator_order(rs):
+            nxt = aw.aff_mul(rs, cur, gens[gid])
+            nlen = aw.aff_length(rs, nxt)
+            if nlen < clen:
+                letters.append(gid)
+                cur, clen = nxt, nlen
+                break
+        else:
+            raise AssertionError("positive-length element with no right descent")
+    return cur, tuple(reversed(letters))
+
+
+IRREDUCIBLE_UP_TO_RANK_8 = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("spec", IRREDUCIBLE_UP_TO_RANK_8 + [
+    "A1xA1", "A1xA2", "G2xB3", "B2xG2", "A1xE7", "C3xD4", "F4xA2xA1xA1",
+    "A2xA2xA2xA1", "G2xG2xG2xA1xA1",
+])
+def test_affine_generators_match_search(spec):
+    rs = get_rs(spec)
+    gens = aw.simple_generators(rs)
+    oracle = oracle_affine_generators(rs)
+    assert {gid: gens[gid] for gid in oracle} == oracle
+    for i in range(rs.rank):
+        assert gens[i + 1] == aw.AffineElement(
+            rs.simple_reflection_matrix(i), rs.zero())
+
+
+def check_steps(rs, x):
+    gens = aw.simple_generators(rs)
+    lx = aw.aff_length(rs, x)
+    for gid, s in gens.items():
+        for side, ref in (("right", aw.aff_mul(rs, x, s)),
+                          ("left", aw.aff_mul(rs, s, x))):
+            y, down = aw.gen_step(rs, x, gid, side)
+            assert y == ref, (gid, side)
+            assert down == (aw.aff_length(rs, ref) < lx), (gid, side)
+            assert aw.descends(rs, x, gid, side) == down, (gid, side)
+    assert aw.reduced_word(rs, x) == oracle_reduced_word(rs, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gen_step_matches_aff_mul_and_length(data):
+    rs = get_rs(data.draw(st.sampled_from(
+        ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A1xA2"])))
+    check_steps(rs, random_element(rs, data, radius=4))
+
+
+@pytest.mark.parametrize("spec, lam", [
+    ("D4", (0, 0, 0, 0)), ("D4", (1, -2, 0, 3)), ("D4", (-1, 0, -1, 1)),
+    ("F4", (0, 0, 0, 0)), ("F4", (2, -1, 0, -3)), ("F4", (-1, 1, 1, 0)),
+])
+def test_gen_step_fixed_cases(spec, lam):
+    rs = get_rs(spec)
+    for w in rs.weyl_group()[::37]:
+        check_steps(rs, aw.AffineElement(w.matrix, lam))

@@ -163,9 +163,11 @@ def test_mat_inv_refuses_non_weyl_matrices():
 
 
 def test_weyl_arithmetic_builds_no_fractions():
-    """aff_mul, aff_length, reduced_word, mat_inv and root_coords_int run in
-    integers only, cold memo tables included."""
+    """aff_mul, aff_length, reduced_word, mat_inv, root_coords_int, the
+    one-generator step on both sides and bruhat_leq run in integers only,
+    cold memo tables included."""
     rs = build_root_system("A3")
+    cold = build_root_system("A3")     # for the step and Bruhat bursts
     elements = [aw.AffineElement(w.matrix, lam)
                 for w in rs.weyl_group()[::3]
                 for lam in [(1, -2, 0), (-1, 1, 3), (0, 0, -2)]]
@@ -189,6 +191,14 @@ def test_weyl_arithmetic_builds_no_fractions():
                 aw.reduced_word(rs, xy)
                 rs.mat_inv(xy.w)
                 rs.root_coords_int(xy.t)
+        for x in elements:
+            for gid in aw.generator_order(cold):
+                for side in ("right", "left"):
+                    aw.gen_step(cold, x, gid, side)
+                    aw.descends(cold, x, gid, side)
+        for x in elements[::4]:
+            for y in elements[::7]:
+                aw.bruhat_leq(cold, x, y)
     finally:
         Fraction.__new__ = saved
     assert made == []

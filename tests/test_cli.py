@@ -427,3 +427,16 @@ def test_verify_rank_3_defaults_are_bounded(spec):
     assert "Traceback" not in proc.stderr
     assert elapsed < 10.0
 
+
+
+@pytest.mark.parametrize("spec, pairs", [("F4", 1327104), ("E6", 2687385600)])
+def test_verify_bernstein_pair_budget_exits_2_quickly(spec, pairs):
+    """Relation (1) walks W x W at every radius; F4 ran for 40 seconds at
+    radius 0, and E6 would enumerate W only to walk 2.7e9 pairs."""
+    proc, elapsed = _timed_cli("verify", spec, "--suite", "bernstein",
+                               "--radius", "0", timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: relation (1)")
+    assert f"{pairs} pairs" in proc.stderr and "above the bound" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 10.0

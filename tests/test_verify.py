@@ -112,3 +112,14 @@ def test_bernstein_budget():
     for spec in ("A3", "B3"):
         with pytest.raises(ValueError, match="above the bound 200000"):
             verify.run_suites(get_rs(spec), "bernstein", radius=2)
+
+
+def test_bernstein_pair_budget():
+    """Relation (1) admits |W|^2 = 147456 pairs for B4 and refuses F4's
+    1327104 before W is enumerated."""
+    verify._check_budget(get_rs("B4"), ["bernstein"], 0)
+    rs = build_root_system("F4")
+    with pytest.raises(ValueError, match="1327104 pairs"):
+        verify._check_budget(rs, ["bernstein"], 0)
+    assert not any(isinstance(k, tuple) and k[0] == "weyl_group"
+                   for k in rs._cache)
