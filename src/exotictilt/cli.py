@@ -11,7 +11,8 @@ Data syntax:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 A JSON cache of Kostant partition tables can be supplied with --cache or the
-EXOTIC_CACHE_DIR environment variable; stale versions are ignored.
+EXOTIC_CACHE_DIR environment variable; a cache that is stale, unreadable or
+undecodable is ignored, and one that cannot be written exits 2.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def load_character(rs: RootSystem, path: str) -> CharacterMultiset:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read character file {path}: {exc}") from None
     if not isinstance(doc, dict) or "basis" not in doc or "mults" not in doc:
         raise CliError("character file needs 'basis' and 'mults' fields")
@@ -234,14 +235,14 @@ def _cache_path(args):
 
 
 def _read_cache_doc(path):
-    """The cache document at path, or None if it is missing, unreadable or
-    of another version."""
-    if not path or not os.path.exists(path):
+    """The cache document at path, or None if it is missing, unreadable,
+    undecodable or of another version."""
+    if not path:
         return None
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION:
         return None
@@ -278,7 +279,8 @@ def load_cache(rs: RootSystem, path) -> int:
 def save_cache(rs: RootSystem, path, loaded: int):
     """Merge the Kostant memo of rs into the cache file, if it holds more
     than the `loaded` entries load_cache left in it.  The file is replaced
-    atomically, so a reader never sees a partial document."""
+    atomically, so a reader never sees a partial document; a path that
+    cannot be written raises CliError."""
     memo = rs.memo("kostant")
     if not path or len(memo) <= loaded:
         return
@@ -289,12 +291,16 @@ def save_cache(rs: RootSystem, path, loaded: int):
         table = kostant[rs.spec] = {}
     for mu, poly in memo.items():
         table[",".join(str(c) for c in mu)] = poly.pairs()
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            # json.dumps runs the C encoder; json.dump streams the document
+            # through the pure-Python one
+            fh.write(json.dumps(doc, sort_keys=True))
         os.replace(tmp, path)
+    except OSError as exc:
+        raise CliError(f"cannot write cache file {path}: {exc}") from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -557,10 +563,10 @@ def run(argv) -> int:
     loaded = load_cache(rs, cache_path)
     try:
         code = args.fn(rs, args)
+        save_cache(rs, cache_path, loaded)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    save_cache(rs, cache_path, loaded)
     return code
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -116,81 +117,69 @@ def _validate_cartan(a) -> tuple:
             if i != j and (a[i][j] > 0 or (a[i][j] == 0) != (a[j][i] == 0)):
                 raise RootSystemError("invalid Cartan off-diagonal entries")
     d = _symmetrizers(a)
-    # positive-definite symmetrization: leading principal minors of D*A
-    sym = [[d[i] * a[i][j] for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        if determinant([row[:k] for row in sym[:k]]) <= 0:
-            raise RootSystemError("Cartan symmetrization not positive definite")
+    # D*A is symmetric; it is positive definite iff its leading principal
+    # minors, the pivots of one elimination pass, are all positive
+    # (Sylvester).
+    _eliminate([[di * x for x in row] for di, row in zip(d, a)], n)
     return d
 
 
 def _symmetrizers(a):
-    """Positive integers d with d[i]*a[i][j] == d[j]*a[j][i]."""
+    """Positive integers d with d[i]*a[i][j] == d[j]*a[j][i], as a primitive
+    vector: d[j] = d[i] * a[i][j] / a[j][i] along the Dynkin diagram, carried
+    as integer numerators and denominators."""
     n = len(a)
-    d = [None] * n
+    num, den = [0] * n, [1] * n
     for start in range(n):
-        if d[start] is not None:
+        if num[start]:
             continue
-        d[start] = Fraction(1)
+        num[start] = 1
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if a[i][j] != 0 and i != j and d[j] is None:
-                    d[j] = d[i] * Fraction(a[i][j], a[j][i])
+                if a[i][j] and i != j and not num[j]:
+                    num[j], den[j] = num[i] * -a[i][j], den[i] * -a[j][i]
                     stack.append(j)
-    lcm_den = 1
-    for x in d:
-        lcm_den = lcm_den * x.denominator // _gcd(lcm_den, x.denominator)
-    ints = [int(x * lcm_den) for x in d]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
+    common = lcm(*den)
+    ints = [x * (common // y) for x, y in zip(num, den)]
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _eliminate(rows, n):
+    """Fraction-free Gauss-Jordan elimination of integer rows whose first n
+    columns form a square block, without row exchanges.
 
-
-def determinant(rows) -> int:
-    """Exact determinant of a square integer matrix, by fraction-free
-    (Bareiss) elimination: every division is exact."""
+    The k-th pivot is the k-th leading principal minor of the block and
+    every entry is a minor, so each division is exact.  A pivot <= 0 raises
+    RootSystemError: the block is then not positive definite, and for a
+    Cartan matrix not of finite type.  Returns the rows; the block becomes
+    det * I and the other columns det times the block's inverse applied to
+    them."""
     m = [list(row) for row in rows]
-    n = len(m)
-    sign, prev = 1, 1
+    prev = 1
     for k in range(n):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pivot, pivot_row = m[k][k], m[k]
-        for i in range(k + 1, n):
-            row, f = m[i], m[i][k]
-            m[i] = row[:k + 1] + [
-                (x * pivot - f * y) // prev
-                for x, y in zip(row[k + 1:], pivot_row[k + 1:])
-            ]
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            raise RootSystemError("Cartan symmetrization not positive definite")
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(x * pivot - f * y) // prev
+                        for x, y in zip(m[i], pivot_row)]
         prev = pivot
-    return sign * prev
+    return m
 
 
-def _adjugate(a):
-    """The integer adjugate det(a) * a^-1, from cofactors."""
+def _det_adjugate(a):
+    """(det a, det a * a^-1) for a matrix with positive leading principal
+    minors, from one fraction-free Gauss-Jordan pass on [a | I]."""
     n = len(a)
-    return tuple(
-        tuple(
-            (-1) ** (i + j) * determinant(
-                [row[:i] + row[i + 1:] for r, row in enumerate(a) if r != j]
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    m = _eliminate([list(row) + [int(i == j) for j in range(n)]
+                    for i, row in enumerate(a)], n)
+    return m[0][0], tuple(tuple(row[n:]) for row in m)
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +473,23 @@ def _close_roots(rank, simple_roots):
     """All positive roots with simple-root coordinates and coroot functionals.
 
     s_i maps beta to beta - <beta, alpha_i_vee> alpha_i and beta_vee to
-    beta_vee - <alpha_i, beta_vee> alpha_i_vee."""
+    beta_vee - <alpha_i, beta_vee> alpha_i_vee.  Only the steps up are
+    taken, those with <beta, alpha_i_vee> < 0: every positive beta other
+    than alpha_i has some i with s_i beta positive and lower, so the steps
+    up from the simple roots reach every positive root."""
     def unit(i):
         return tuple(int(j == i) for j in range(rank))
 
     seeds = [(alpha, unit(j), unit(j)) for j, alpha in enumerate(simple_roots)]
     seen = {s[0]: s for s in seeds}
-    frontier = list(seeds)
+    frontier = seeds
     while frontier:
         nxt = []
         for coords, rc, cr in frontier:
             for i, alpha in enumerate(simple_roots):
                 p = coords[i]
+                if p >= 0:
+                    continue
                 new_coords = tuple([a - p * b for a, b in zip(coords, alpha)])
                 if new_coords in seen:
                     continue
@@ -508,11 +502,7 @@ def _close_roots(rank, simple_roots):
                 seen[new_coords] = entry
                 nxt.append(entry)
         frontier = nxt
-    pos = [
-        PositiveRoot(coords, rc, cr)
-        for coords, rc, cr in seen.values()
-        if all(x >= 0 for x in rc)
-    ]
+    pos = [PositiveRoot(*entry) for entry in seen.values()]
     pos.sort(key=lambda r: (sum(r.root_coords), r.root_coords))
     return tuple(pos)
 
@@ -564,7 +554,7 @@ def build_root_system(spec: str) -> RootSystem:
         highest = max(in_comp, key=lambda r: sum(r.root_coords))
         comps.append((idx, highest))
         offset += n
-    adjugate = _adjugate(cartan)
+    det, adjugate = _det_adjugate(cartan)
     return RootSystem(
         spec="x".join(f"{l}{n}" for l, n in types),
         rank=rank,
@@ -573,7 +563,7 @@ def build_root_system(spec: str) -> RootSystem:
         positive_roots=pos,
         components=tuple(comps),
         symmetrizers=symmetrizers,
-        cartan_det=determinant(cartan),
+        cartan_det=det,
         cartan_adjugate=adjugate,
         height_row=tuple(map(sum, zip(*adjugate))),
         identity_matrix=tuple(

@@ -39,6 +39,18 @@ IRREDUCIBLE_UP_TO_RANK_4 = [
 ]
 
 
+IRREDUCIBLE_UP_TO_RANK_8 = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+PRODUCTS = [
+    "A1xA1", "A1xA2", "G2xB3", "B2xG2", "A1xE7", "C3xD4", "F4xA2xA1xA1",
+    "A2xA2xA2xA1", "G2xG2xG2xA1xA1",
+]
+
+
 def specs_up_to_rank(bound):
     """Every product of irreducible types with total rank <= bound."""
     out = []

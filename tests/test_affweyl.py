@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from exotictilt import affweyl as aw
 
-from conftest import get_rs
+from conftest import IRREDUCIBLE_UP_TO_RANK_8, PRODUCTS, get_rs
 
 
 def random_element(rs, data, radius=2):
@@ -241,17 +241,7 @@ def oracle_reduced_word(rs, x):
     return cur, tuple(reversed(letters))
 
 
-IRREDUCIBLE_UP_TO_RANK_8 = (
-    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
-    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
-    + ["E6", "E7", "E8", "F4", "G2"]
-)
-
-
-@pytest.mark.parametrize("spec", IRREDUCIBLE_UP_TO_RANK_8 + [
-    "A1xA1", "A1xA2", "G2xB3", "B2xG2", "A1xE7", "C3xD4", "F4xA2xA1xA1",
-    "A2xA2xA2xA1", "G2xG2xG2xA1xA1",
-])
+@pytest.mark.parametrize("spec", IRREDUCIBLE_UP_TO_RANK_8 + PRODUCTS)
 def test_affine_generators_match_search(spec):
     rs = get_rs(spec)
     gens = aw.simple_generators(rs)

@@ -1,16 +1,20 @@
 """The integer Weyl arithmetic of rootdata and affweyl, checked exactly
 against the Fraction and matrix implementations it replaced.  Those stay
-here as oracles."""
+here as oracles, as does the root-system construction that the
+single-pass one replaced."""
 
+import dataclasses
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from exotictilt import affweyl as aw
-from exotictilt.rootdata import build_root_system, determinant
+from exotictilt.rootdata import PositiveRoot, _cartan_matrix, build_root_system
 
-from conftest import get_rs
+from conftest import IRREDUCIBLE_UP_TO_RANK_8, PRODUCTS, get_rs
 
 SPECS = ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A1xA1"]
 
@@ -37,6 +41,104 @@ def oracle_determinant(rows):
             if f:
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return det
+
+
+def determinant(rows) -> int:
+    """Exact determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination with row exchanges: every division is exact."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot, pivot_row = m[k][k], m[k]
+        for i in range(k + 1, n):
+            row, f = m[i], m[i][k]
+            m[i] = row[:k + 1] + [
+                (x * pivot - f * y) // prev
+                for x, y in zip(row[k + 1:], pivot_row[k + 1:])
+            ]
+        prev = pivot
+    return sign * prev
+
+
+def oracle_adjugate(a):
+    """The integer adjugate det(a) * a^-1, from cofactors."""
+    n = len(a)
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * determinant(
+                [row[:i] + row[i + 1:] for r, row in enumerate(a) if r != j]
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def oracle_symmetrizers(a):
+    """Positive integers d with d[i]*a[i][j] == d[j]*a[j][i], by Fractions."""
+    n = len(a)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if a[i][j] != 0 and i != j and d[j] is None:
+                    d[j] = d[i] * Fraction(a[i][j], a[j][i])
+                    stack.append(j)
+    lcm_den = 1
+    for x in d:
+        lcm_den = lcm_den * x.denominator // gcd(lcm_den, x.denominator)
+    ints = [int(x * lcm_den) for x in d]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints)
+
+
+def oracle_close_roots(rank, simple_roots):
+    """The positive roots, as the positive part of the closure of the
+    simple roots under every simple reflection (all of Phi)."""
+    def unit(i):
+        return tuple(int(j == i) for j in range(rank))
+
+    seeds = [(alpha, unit(j), unit(j)) for j, alpha in enumerate(simple_roots)]
+    seen = {s[0]: s for s in seeds}
+    frontier = list(seeds)
+    while frontier:
+        nxt = []
+        for coords, rc, cr in frontier:
+            for i, alpha in enumerate(simple_roots):
+                p = coords[i]
+                new_coords = tuple([a - p * b for a, b in zip(coords, alpha)])
+                if new_coords in seen:
+                    continue
+                q = sum(map(mul, cr, alpha))
+                entry = (
+                    new_coords,
+                    rc[:i] + (rc[i] - p,) + rc[i + 1:],
+                    cr[:i] + (cr[i] - q,) + cr[i + 1:],
+                )
+                seen[new_coords] = entry
+                nxt.append(entry)
+        frontier = nxt
+    pos = [
+        PositiveRoot(coords, rc, cr)
+        for coords, rc, cr in seen.values()
+        if all(x >= 0 for x in rc)
+    ]
+    pos.sort(key=lambda r: (sum(r.root_coords), r.root_coords))
+    return tuple(pos)
 
 
 def oracle_inverse(a):
@@ -135,6 +237,52 @@ def test_cartan_adjugate(spec):
     assert rs.cartan_det == determinant(rs.cartan_matrix) == det > 0
     assert rs.cartan_adjugate == tuple(
         tuple(det * x for x in row) for row in oracle_inverse(rs.cartan_matrix))
+
+
+@pytest.mark.parametrize("spec", IRREDUCIBLE_UP_TO_RANK_8 + PRODUCTS)
+def test_root_system_matches_oracles(spec):
+    """Every field of build_root_system, from the oracles of the cofactor,
+    full-closure and Fraction construction it replaced."""
+    rs = build_root_system(spec)
+    a = rs.cartan_matrix
+    det = oracle_determinant(a)
+    adjugate = oracle_adjugate(a)
+    pos = oracle_close_roots(rs.rank, tuple(zip(*a)))
+    blocks, offset = [], 0
+    for part in spec.split("x"):
+        block = _cartan_matrix(part[0], int(part[1:]))
+        blocks.append((tuple(range(offset, offset + len(block))), block))
+        offset += len(block)
+    expected = {
+        "spec": spec,
+        "rank": offset,
+        "cartan_matrix": tuple(
+            (0,) * idx[0] + row + (0,) * (offset - idx[-1] - 1)
+            for idx, block in blocks for row in block),
+        "simple_roots": tuple(zip(*a)),
+        "positive_roots": pos,
+        "components": tuple(
+            (idx, max((r for r in pos
+                       if all(c == 0 or j in idx for j, c in enumerate(r.root_coords))),
+                      key=lambda r: sum(r.root_coords)))
+            for idx, _ in blocks),
+        "symmetrizers": oracle_symmetrizers(a),
+        "cartan_det": det,
+        "cartan_adjugate": adjugate,
+        "height_row": tuple(map(sum, zip(*adjugate))),
+        "identity_matrix": tuple(
+            tuple(int(i == j) for j in range(offset)) for i in range(offset)),
+        "coroot_rows": tuple(r.coroot for r in pos),
+    }
+    assert {f.name for f in dataclasses.fields(rs) if f.compare} == set(expected)
+    for name, value in expected.items():
+        assert getattr(rs, name) == value, name
+    assert det == determinant(a) > 0
+    assert adjugate == tuple(tuple(det * x for x in row) for row in oracle_inverse(a))
+    d = rs.symmetrizers
+    assert all(d[i] * a[i][j] == d[j] * a[j][i]
+               for i in range(len(a)) for j in range(len(a)))
+    assert all(r.coords == rs.apply(a, r.root_coords) for r in pos)
 
 
 @settings(max_examples=200, deadline=None)

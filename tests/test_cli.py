@@ -1,3 +1,4 @@
+import io
 import json
 import resource
 import subprocess
@@ -296,6 +297,65 @@ def test_cache_with_malformed_sections_ignored(tmp_path, capsys):
                                "--cache", str(cache))
         assert (code, out) == (0, "v")
         assert json.loads(cache.read_text())["kostant"]["A1"]
+
+
+def test_cache_bytes_match_streaming_encoder(tmp_path, capsys):
+    """The cache is written with json.dumps; its bytes are what the
+    streaming json.dump writes for the same document."""
+    cache = tmp_path / "cache.json"
+    for argv in (("qanalogue", "B2", "[2,2]", "[0,0]"),
+                 ("qanalogue", "A1", "[4]", "[0]"),
+                 ("qanalogue", "A2", "[2,2]", "[0,0]")):
+        code, _, _ = run_cli(capsys, *argv, "--cache", str(cache))
+        assert code == 0, argv
+        text = cache.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True)
+        streamed = io.StringIO()
+        json.dump(doc, streamed, sort_keys=True)
+        assert text == streamed.getvalue()
+    assert sorted(doc["kostant"]) == ["A1", "A2", "B2"]
+
+
+def _cache_cli(cache):
+    return subprocess.run(
+        [sys.executable, "-m", "exotictilt.cli", "qanalogue", "A1", "[2]",
+         "[0]", "--cache", str(cache)],
+        capture_output=True, text=True, timeout=30,
+    )
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",                                         # not UTF-8
+    b'{"version": 1, "n": ' + b"9" * 5000 + b"}",          # int-digit limit
+    b"[" * 100000 + b"]" * 100000,                         # nesting depth
+], ids=["non-utf8", "long-int", "deep"])
+def test_undecodable_cache_ignored(tmp_path, content):
+    cache = tmp_path / "cache.json"
+    cache.write_bytes(content)
+    proc = _cache_cli(cache)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "v\n", "")
+    assert json.loads(cache.read_text())["kostant"]["A1"]
+
+
+@pytest.mark.parametrize("case", ["under-a-file", "directory"])
+def test_unwritable_cache_exits_2(tmp_path, case):
+    (tmp_path / "plain").write_text("x")
+    (tmp_path / "dir").mkdir()
+    cache = tmp_path / ("plain/cache.json" if case == "under-a-file" else "dir")
+    proc = _cache_cli(cache)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write cache file")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "plain"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
+def test_deeply_nested_character_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "char.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run_cli(capsys, "tilt", "std", "A1", str(path), "[0]")
+    assert code == 2 and err.startswith("error: cannot read character file")
 
 
 def test_parser_state_does_not_leak_between_runs(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from exotictilt.rootdata import RootSystemError, build_root_system
+from exotictilt.rootdata import RootSystemError, _validate_cartan, build_root_system
 
 from conftest import get_rs, specs_up_to_rank
 
@@ -59,6 +59,16 @@ def test_unknown_type_and_rank_bound():
         build_root_system("A5xA4")
     with pytest.raises(RootSystemError):
         build_root_system("D3")
+
+
+@pytest.mark.parametrize("a", [
+    ((2, -2), (-2, 2)),     # affine A1: zero pivot
+    ((2, -4), (-1, 2)),     # affine A2(2): zero pivot
+    ((2, -3), (-2, 2)),     # hyperbolic: negative pivot
+])
+def test_validate_cartan_refuses_non_positive_pivots(a):
+    with pytest.raises(RootSystemError, match="not positive definite"):
+        _validate_cartan(a)
 
 
 def test_known_counts():

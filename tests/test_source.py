@@ -18,3 +18,19 @@ def test_no_assert_or_debug_paths():
                     isinstance(node, ast.Name) and node.id == "__debug__"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_streaming_json_dump():
+    """json.dump streams through the pure-Python encoder, several times
+    slower than the C encoder behind json.dumps; the cache write is on the
+    path of every CLI command."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "dump"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json") or (
+                    isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and any(alias.name == "dump" for alias in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
