@@ -25,7 +25,7 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .rootdata import RootSystem, RootSystemError, Weight
+from .rootdata import RootSystem, RootSystemError, Weight, memoized
 
 
 class AffineElement(NamedTuple):
@@ -56,27 +56,24 @@ def aff_inv(rs: RootSystem, x: AffineElement) -> AffineElement:
     return AffineElement(rs.mat_inv(x.w), rs.neg(rs.apply(x.w, x.t)))
 
 
+@memoized("aff_length")
 def aff_length(rs: RootSystem, x: AffineElement) -> int:
     """sum over alpha > 0 of |<t, alpha_vee> + [w(alpha) < 0]|."""
-    memo = rs.memo("aff_length")
-    res = memo.get(x)
-    if res is not None:
-        return res
     flag_memo = rs.memo("inversion_flags")
     flags = flag_memo.get(x.w)
     if flags is None:
         flags = flag_memo[x.w] = rs.inversion_flags(x.w)
     t = x.t
-    res = memo[x] = sum(
+    return sum(
         [abs(sum(map(mul, row, t)) + f) for row, f in zip(rs.coroot_rows, flags)]
     )
-    return res
 
 
 # ---------------------------------------------------------------------------
 # Simple generators and the one-generator step
 
 
+@memoized("gen_roots")
 def gen_roots(rs: RootSystem) -> dict:
     """id -> (beta, beta_vee, n) for the Coxeter generators of W_aff^Cox:
     s = s_beta t_{n beta}, the reflection in the simple affine root
@@ -85,9 +82,6 @@ def gen_roots(rs: RootSystem) -> dict:
     (-gamma, -gamma_vee, 1), where gamma is the lowest dominant positive root
     of the component, its highest short root; a length-1 check guards this
     closed form."""
-    memo = rs.memo("gen_roots")
-    if memo:
-        return memo
     table = {}
     for i in range(rs.rank):
         table[i + 1] = (rs.simple_roots[i],
@@ -105,17 +99,14 @@ def gen_roots(rs: RootSystem) -> dict:
                 f"{aff_length(rs, s0)}, not 1"
             )
         table[-c] = (s0.t, rs.neg(gamma.coroot), 1)
-    memo.update(table)
-    return memo
+    return table
 
 
+@memoized("gens")
 def simple_generators(rs: RootSystem) -> dict:
     """id -> AffineElement for all Coxeter generators of W_aff^Cox."""
-    memo = rs.memo("gens")
-    if not memo:
-        ident = identity(rs)
-        memo.update((gid, gen_step(rs, ident, gid)[0]) for gid in gen_roots(rs))
-    return memo
+    ident = identity(rs)
+    return {gid: gen_step(rs, ident, gid)[0] for gid in gen_roots(rs)}
 
 
 # x = w t_lam acts on affine roots by x(beta + n delta) = w beta +
@@ -183,16 +174,13 @@ def gen_sort_key(gid: int):
 # Reduced words and Omega
 
 
+@memoized("reduced_word")
 def reduced_word(rs: RootSystem, x: AffineElement):
     """(omega, word): x = omega * s_{word[0]} ... s_{word[-1]} with
     len(word) == len(x) and len(omega) == 0.
 
     Greedy right-descent stripping; the smallest generator id wins ties.
     """
-    memo = rs.memo("reduced_word")
-    res = memo.get(x)
-    if res is not None:
-        return res
     order = generator_order(rs)
     letters = []
     cur = x
@@ -202,9 +190,7 @@ def reduced_word(rs: RootSystem, x: AffineElement):
             break
         letters.append(gid)
         cur = gen_step(rs, cur, gid)[0]
-    res = (cur, tuple(reversed(letters)))
-    memo[x] = res
-    return res
+    return cur, tuple(reversed(letters))
 
 
 def omega_decompose(rs: RootSystem, x: AffineElement):
@@ -223,11 +209,9 @@ def coset_class_key(rs: RootSystem, lam: Weight):
     return tuple([sum(map(mul, row, lam)) % det for row in rs.cartan_adjugate])
 
 
+@memoized("omega_elements")
 def omega_elements(rs: RootSystem) -> dict:
     """class key -> the length-0 element of W_aff in that Z.Phi-class."""
-    memo = rs.memo("omega_elements")
-    if memo:
-        return memo
     reps = {coset_class_key(rs, rs.zero()): rs.zero()}
     frontier = [rs.zero()]
     fund = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
@@ -241,12 +225,13 @@ def omega_elements(rs: RootSystem) -> dict:
                     reps[key] = mu
                     nxt.append(mu)
         frontier = nxt
+    out = {}
     for key, lam in reps.items():
         omega, _ = reduced_word(rs, t_lambda(rs, lam))
         if aff_length(rs, omega) != 0:
             raise AssertionError(f"Omega representative of {lam} has positive length")
-        memo[key] = omega
-    return memo
+        out[key] = omega
+    return out
 
 
 def omega_of_weight(rs: RootSystem, lam: Weight) -> AffineElement:
@@ -298,21 +283,15 @@ def _bruhat_cox(rs, u, w) -> bool:
 # Minimal coset representatives and the order on X
 
 
+@memoized("w_lambda")
 def w_lambda(rs: RootSystem, lam: Weight):
     """(w_lam, delta(lam)): the shortest element of W t_lam, equal to
     v t_lam where v is minimal with v(lam) dominant."""
-    memo = rs.memo("w_lambda")
-    res = memo.get(lam)
-    if res is not None:
-        return res
     dom, v, delta = rs.dominant_rep(lam)
-    elt = AffineElement(v.matrix, tuple(lam))
-    ll = aff_length(rs, elt)
-    if ll != aff_length(rs, t_lambda(rs, lam)) - delta:
+    elt = AffineElement(v.matrix, lam)
+    if aff_length(rs, elt) != aff_length(rs, t_lambda(rs, lam)) - delta:
         raise AssertionError(f"length identity failed for w_lambda({lam})")
-    res = (elt, delta)
-    memo[lam] = res
-    return res
+    return elt, delta
 
 
 def order_leq_weights(rs: RootSystem, lam: Weight, mu: Weight) -> bool:

@@ -18,6 +18,7 @@ from operator import ge, le, mul
 from .laurent import LaurentPoly, ZERO
 from .rootdata import (
     KOSTANT_BIT_BOUND, KOSTANT_BOUND, RootSystem, RootSystemError, Weight,
+    memoized,
 )
 
 WEYL_BASIS = "Weyl"
@@ -59,6 +60,7 @@ class CharacterMultiset:
 # Kostant partition function
 
 
+@memoized("kostant")
 def kostant_partition(rs: RootSystem, mu: Weight) -> LaurentPoly:
     """P_mu(v): graded count of multisets of positive roots summing to mu,
     v tracking the multiset size.  A value not yet in the memo is the product
@@ -66,21 +68,14 @@ def kostant_partition(rs: RootSystem, mu: Weight) -> LaurentPoly:
     coordinates on that component: v^c on a component of rank 1, whose one
     positive root is its simple root, and otherwise an entry of the
     component's dense table, grown to cover mu if needed."""
-    memo = rs.memo("kostant")
-    mu = tuple(mu)
-    res = memo.get(mu)
-    if res is not None:
-        return res
     c = rs.root_coords_int(mu)
     if c is None or any(x < 0 for x in c):
-        res = ZERO
-    else:
-        for k, (idx, _) in enumerate(rs.components):
-            part = c[idx[0]:idx[-1] + 1]
-            p = (LaurentPoly.v(part[0]) if len(part) == 1
-                 else _kostant_entry(rs, k, part))
-            res = p if k == 0 else res * p
-    memo[mu] = res
+        return ZERO
+    for k, (idx, _) in enumerate(rs.components):
+        part = c[idx[0]:idx[-1] + 1]
+        p = (LaurentPoly.v(part[0]) if len(part) == 1
+             else _kostant_entry(rs, k, part))
+        res = p if k == 0 else res * p
     return res
 
 
@@ -250,13 +245,9 @@ def lusztig_q(rs: RootSystem, lam: Weight, mu: Weight) -> LaurentPoly:
 # Freudenthal weight multiplicities (independent v=1 oracle)
 
 
+@memoized("freudenthal")
 def _dominant_mult_table(rs: RootSystem, lam: Weight) -> dict:
     """dominant weight -> dim M(lam)_weight, by the Freudenthal recursion."""
-    memo = rs.memo("freudenthal")
-    lam = tuple(lam)
-    table = memo.get(lam)
-    if table is not None:
-        return table
     if not rs.is_dominant(lam):
         raise ValueError("Freudenthal table needs a dominant highest weight")
     doms = rs.dominant_below(lam)
@@ -289,7 +280,6 @@ def _dominant_mult_table(rs: RootSystem, lam: Weight) -> dict:
             )
         if val:
             table[mu] = int(val)
-    memo[lam] = table
     return table
 
 
@@ -298,18 +288,11 @@ def freudenthal_mult(rs: RootSystem, lam: Weight, mu: Weight) -> int:
     return _dominant_mult_table(rs, lam).get(rs.dom(tuple(mu)), 0)
 
 
+@memoized("module_weights")
 def module_weights(rs: RootSystem, lam: Weight) -> dict:
     """Full weight table weight -> multiplicity of the Weyl module M(lam)."""
-    memo = rs.memo("module_weights")
-    lam = tuple(lam)
-    res = memo.get(lam)
-    if res is None:
-        res = {}
-        for mu, m in _dominant_mult_table(rs, lam).items():
-            for w in rs.weyl_orbit(mu):
-                res[w] = m
-        memo[lam] = res
-    return res
+    return {w: m for mu, m in _dominant_mult_table(rs, lam).items()
+            for w in rs.weyl_orbit(mu)}
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:

@@ -10,9 +10,9 @@ Data syntax:
                            "mults": [{"weight": [...], "count": n}, ...]}.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
-A JSON cache of Kostant partition tables can be supplied with --cache or the
-EXOTIC_CACHE_DIR environment variable; a cache that is stale, unreadable or
-undecodable is ignored, and one that cannot be written exits 2.
+A JSON cache of Kostant partition tables can be supplied with --cache; a
+cache that is stale, unreadable or undecodable is ignored, and one that
+cannot be written exits 2.
 """
 
 from __future__ import annotations
@@ -73,13 +73,7 @@ def parse_element(rs: RootSystem, text: str) -> AffineElement:
                 rs, x, affweyl.omega_of_weight(rs, parse_weight(rs, token[1:]))
             )
         elif token.startswith("s"):
-            try:
-                gid = int(token[1:])
-            except ValueError:
-                raise CliError(f"bad generator token {token!r}") from None
-            if gid not in gens:
-                raise CliError(f"no simple reflection {token!r} in {rs.spec}")
-            x = affweyl.aff_mul(rs, x, gens[gid])
+            x = affweyl.aff_mul(rs, x, gens[parse_generator(rs, token)])
         else:
             raise CliError(f"bad element token {token!r}")
     return x
@@ -106,20 +100,17 @@ def parse_omega_arg(rs: RootSystem, text: str) -> AffineElement:
     return x
 
 
-def parse_simple_ids(rs: RootSystem, tokens) -> list:
-    gens = affweyl.simple_generators(rs)
-    out = []
-    for token in tokens:
-        if not token.startswith("s"):
-            raise CliError(f"expected a generator token, got {token!r}")
-        try:
-            gid = int(token[1:])
-        except ValueError:
-            raise CliError(f"bad generator token {token!r}") from None
-        if gid not in gens:
-            raise CliError(f"no simple reflection {token!r} in {rs.spec}")
-        out.append(gid)
-    return out
+def parse_generator(rs: RootSystem, token: str) -> int:
+    """The generator id of a token "s<k>" naming a simple reflection of rs."""
+    if not token.startswith("s"):
+        raise CliError(f"expected a generator token, got {token!r}")
+    try:
+        gid = int(token[1:])
+    except ValueError:
+        raise CliError(f"bad generator token {token!r}") from None
+    if gid not in affweyl.simple_generators(rs):
+        raise CliError(f"no simple reflection {token!r} in {rs.spec}")
+    return gid
 
 
 def load_character(rs: RootSystem, path: str) -> CharacterMultiset:
@@ -223,15 +214,6 @@ def kclass_json(c: KClass) -> list:
 
 # ---------------------------------------------------------------------------
 # Kostant cache persistence
-
-
-def _cache_path(args):
-    if args.cache:
-        return args.cache
-    env = os.environ.get("EXOTIC_CACHE_DIR")
-    if env:
-        return os.path.join(env, "exotictilt-cache.json")
-    return None
 
 
 def _read_cache_doc(path):
@@ -395,12 +377,10 @@ def cmd_kclass(rs, args):
         c = exotic_k.delta_class(rs, parse_weight(rs, args.args[0]))
     elif args.kind == "nabla":
         c = exotic_k.nabla_class(rs, parse_weight(rs, args.args[0]))
-    elif args.kind == "bs":
+    else:   # "bs"
         omega = parse_omega_arg(rs, args.args[0])
-        seq = parse_simple_ids(rs, args.args[1:])
-        c = exotic_k.bott_samelson_class(rs, omega, seq, reverse=args.reverse)
-    else:
-        raise CliError(f"unknown kclass kind {args.kind!r}")
+        seq = [parse_generator(rs, token) for token in args.args[1:]]
+        c = exotic_k.bott_samelson_class(rs, omega, seq)
     _emit(args, kclass_str(c), kclass_json(c))
     return 0
 
@@ -519,8 +499,6 @@ def build_parser():
     pk.add_argument("kind", choices=["line", "delta", "nabla", "bs"])
     pk.add_argument("spec")
     pk.add_argument("args", nargs="+")
-    pk.add_argument("--reverse", action="store_true",
-                    help="apply Bott-Samelson letters in reversed order")
     pk.set_defaults(fn=cmd_kclass)
 
     add("qanalogue", cmd_qanalogue, ("lam", {}), ("mu", {}))
@@ -559,11 +537,10 @@ def run(argv) -> int:
     except RootSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cache_path = _cache_path(args)
-    loaded = load_cache(rs, cache_path)
+    loaded = load_cache(rs, args.cache)
     try:
         code = args.fn(rs, args)
-        save_cache(rs, cache_path, loaded)
+        save_cache(rs, args.cache, loaded)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

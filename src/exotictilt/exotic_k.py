@@ -20,7 +20,7 @@ m_0 . T_omega (T_{s_r}+v) ... (T_{s_1}+v), the innermost factor acting first.
 from __future__ import annotations
 
 from .laurent import Combination, LaurentPoly, ONE, VINV, VINV_MINUS_V
-from .rootdata import RootSystem, Weight
+from .rootdata import RootSystem, Weight, memoized
 from . import affweyl
 from .heckebraid import BraidWord, act, theta_letters, word_letters
 from .affweyl import AffineElement, aff_length, aff_mul, gen_step
@@ -37,24 +37,17 @@ def m0(rs: RootSystem) -> KClass:
 # Basis action
 
 
+@memoized("k_gen_action")
 def _basis_gen_action(rs, lam: Weight, gid: int):
-    """m_lam . T_gid as a list of (weight, poly)."""
-    memo = rs.memo("k_gen_action")
-    key = (lam, gid)
-    res = memo.get(key)
-    if res is not None:
-        return res
+    """m_lam . T_gid as a tuple of (weight, poly)."""
     u, down = gen_step(rs, affweyl.w_lambda(rs, lam)[0], gid)
     mu = u.t
     if mu == lam:
         # u = (finite simple) * w_lam is not minimal in W t_lam
-        res = ((lam, VINV),)
-    elif not down:
-        res = ((mu, ONE),)
-    else:
-        res = ((mu, ONE), (lam, VINV_MINUS_V))
-    memo[key] = res
-    return res
+        return ((lam, VINV),)
+    if not down:
+        return ((mu, ONE),)
+    return ((mu, ONE), (lam, VINV_MINUS_V))
 
 
 def _basis_omega_action(rs, lam: Weight, omega: AffineElement) -> Weight:
@@ -90,41 +83,30 @@ def nabla_class(rs, lam: Weight) -> KClass:
     return KClass.basis(tuple(lam))
 
 
+@memoized("delta_class")
 def delta_class(rs, lam: Weight) -> KClass:
     """[Delta^lam] = m_0 . (T_{w_lam^{-1}})^{-1}."""
-    memo = rs.memo("delta_class")
-    res = memo.get(lam)
-    if res is None:
-        w, _ = affweyl.w_lambda(rs, lam)
-        letters = word_letters(rs, affweyl.aff_inv(rs, w), inverse=True)
-        res = _act(rs, m0(rs), letters)
-        memo[lam] = res
-    return res
+    w, _ = affweyl.w_lambda(rs, lam)
+    letters = word_letters(rs, affweyl.aff_inv(rs, w), inverse=True)
+    return _act(rs, m0(rs), letters)
 
 
+@memoized("line_bundle")
 def line_bundle_class(rs, lam: Weight) -> KClass:
     """[O(lam)] = m_0 . theta_lam."""
-    memo = rs.memo("line_bundle")
-    res = memo.get(lam)
-    if res is None:
-        res = _act(rs, m0(rs), theta_letters(rs, lam))
-        memo[lam] = res
-    return res
+    return _act(rs, m0(rs), theta_letters(rs, lam))
 
 
-def bott_samelson_class(rs, omega: AffineElement, seq, reverse=False) -> KClass:
+def bott_samelson_class(rs, omega: AffineElement, seq) -> KClass:
     """K-class of the Bott-Samelson object Xi_{s_1} ... Xi_{s_r} I_{T_omega}(O)
     for seq = (s_1, ..., s_r): the innermost factor acts first, so
 
         m_0 . T_omega (T_{s_r} + v)(T_{s_{r-1}} + v) ... (T_{s_1} + v).
-
-    ``reverse=True`` applies the letters in the opposite order.
     """
     if aff_length(rs, omega) != 0:
         raise ValueError("omega must have length 0")
     c = _act(rs, m0(rs), (("omega", omega, 1),))
-    letters = list(seq) if reverse else list(reversed(list(seq)))
-    for gid in letters:
+    for gid in reversed(list(seq)):
         c = act_simple(rs, c, gid) + c.scale(LaurentPoly.v(1))
     return c
 

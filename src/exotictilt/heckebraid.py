@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .laurent import Combination, ONE, VINV_MINUS_V, V_MINUS_VINV, _accumulate
-from .rootdata import RootSystem, Weight
+from .rootdata import RootSystem, Weight, memoized
 from . import affweyl
 from .affweyl import AffineElement, aff_length, aff_mul, gen_step
 
@@ -170,15 +170,12 @@ def theta_decomposition(rs, lam: Weight):
     return mu, nu
 
 
+@memoized("theta")
 def theta(rs, lam: Weight) -> HeckeElement:
     """Bernstein element theta_lam = T_{t_mu} (T_{t_nu})^{-1}."""
-    memo = rs.memo("theta")
-    res = memo.get(lam)
-    if res is None:
-        mu, nu = theta_decomposition(rs, lam)
-        xi = T(rs, affweyl.t_lambda(rs, mu))
-        res = memo[lam] = mul_basis_inv(rs, xi, affweyl.t_lambda(rs, nu))
-    return res
+    mu, nu = theta_decomposition(rs, lam)
+    xi = T(rs, affweyl.t_lambda(rs, mu))
+    return mul_basis_inv(rs, xi, affweyl.t_lambda(rs, nu))
 
 
 def mul_theta(rs, xi: HeckeElement, lam: Weight) -> HeckeElement:

@@ -16,8 +16,10 @@ so the weight lattice is the full lattice Z^rank and X / Z.Phi is finite.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
@@ -108,7 +110,13 @@ def _cartan_matrix(letter: str, n: int):
 
 
 def _validate_cartan(a) -> tuple:
-    """Check a Cartan matrix of finite type; return its symmetrizers."""
+    """Check a Cartan matrix of finite type; return its symmetrizers d,
+    det a and det a * a^-1.
+
+    D*A is symmetric; it is positive definite iff its leading principal
+    minors are all positive (Sylvester).  Those are (d_1 ... d_k) det A_k
+    with every d_i > 0, so the pivots of one elimination pass on A decide
+    it."""
     n = len(a)
     for i in range(n):
         if a[i][i] != 2:
@@ -116,12 +124,7 @@ def _validate_cartan(a) -> tuple:
         for j in range(n):
             if i != j and (a[i][j] > 0 or (a[i][j] == 0) != (a[j][i] == 0)):
                 raise RootSystemError("invalid Cartan off-diagonal entries")
-    d = _symmetrizers(a)
-    # D*A is symmetric; it is positive definite iff its leading principal
-    # minors, the pivots of one elimination pass, are all positive
-    # (Sylvester).
-    _eliminate([[di * x for x in row] for di, row in zip(d, a)], n)
-    return d
+    return (_symmetrizers(a), *_det_adjugate(a))
 
 
 def _symmetrizers(a):
@@ -147,17 +150,15 @@ def _symmetrizers(a):
     return tuple(x // g for x in ints)
 
 
-def _eliminate(rows, n):
-    """Fraction-free Gauss-Jordan elimination of integer rows whose first n
-    columns form a square block, without row exchanges.
+def _det_adjugate(a):
+    """(det a, det a * a^-1) from one fraction-free Gauss-Jordan pass on
+    [a | I], without row exchanges.
 
-    The k-th pivot is the k-th leading principal minor of the block and
-    every entry is a minor, so each division is exact.  A pivot <= 0 raises
-    RootSystemError: the block is then not positive definite, and for a
-    Cartan matrix not of finite type.  Returns the rows; the block becomes
-    det * I and the other columns det times the block's inverse applied to
-    them."""
-    m = [list(row) for row in rows]
+    The k-th pivot is the k-th leading principal minor of a and every entry
+    is a minor, so each division is exact.  A pivot <= 0 raises
+    RootSystemError: a Cartan matrix with one is not of finite type."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     prev = 1
     for k in range(n):
         pivot_row = m[k]
@@ -170,16 +171,43 @@ def _eliminate(rows, n):
                 m[i] = [(x * pivot - f * y) // prev
                         for x, y in zip(m[i], pivot_row)]
         prev = pivot
-    return m
-
-
-def _det_adjugate(a):
-    """(det a, det a * a^-1) for a matrix with positive leading principal
-    minors, from one fraction-free Gauss-Jordan pass on [a | I]."""
-    n = len(a)
-    m = _eliminate([list(row) + [int(i == j) for j in range(n)]
-                    for i, row in enumerate(a)], n)
     return m[0][0], tuple(tuple(row[n:]) for row in m)
+
+
+# ---------------------------------------------------------------------------
+# Memo tables
+
+
+def memoized(name: str):
+    """Keep fn(rs, *args) in the table rs.memo(name), keyed by the single
+    argument, or by the tuple of arguments when there are none or several.
+    A list argument is keyed, and passed on, as a tuple.  Each root system
+    has its own tables; they only grow.  fn never returns None, which marks
+    a missing entry, so a lookup is one dict.get and a miss raises
+    nothing."""
+    def decorate(fn):
+        if fn.__code__.co_argcount == 2:
+            @wraps(fn)
+            def one(rs, arg):
+                try:
+                    res = rs._cache[name].get(arg)
+                except TypeError:
+                    if type(arg) is not list:
+                        raise
+                    return one(rs, tuple(arg))
+                if res is None:
+                    res = rs._cache[name][arg] = fn(rs, arg)
+                return res
+            return one
+
+        @wraps(fn)
+        def many(rs, *args):
+            res = rs._cache[name].get(args)
+            if res is None:
+                res = rs._cache[name][args] = fn(rs, *args)
+            return res
+        return many
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +228,9 @@ class RootSystem:
     height_row: tuple              # det A * ht(lam) = <height_row, lam>
     identity_matrix: Matrix
     coroot_rows: tuple             # coroot functionals of the positive roots
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # memo tables by name, made on first use
+    _cache: dict = field(default_factory=lambda: defaultdict(dict),
+                         repr=False, compare=False)
 
     # -- small linear algebra -------------------------------------------------
 
@@ -212,7 +242,7 @@ class RootSystem:
         return (0,) * self.rank
 
     def memo(self, name: str) -> dict:
-        return self._cache.setdefault(name, {})
+        return self._cache[name]
 
     def add(self, lam: Weight, mu: Weight) -> Weight:
         return tuple(a + b for a, b in zip(lam, mu))
@@ -311,6 +341,7 @@ class RootSystem:
         c = self.root_coords_int(self.sub(mu, lam))
         return c is not None and all(x >= 0 for x in c)
 
+    @memoized("dominant_rep")
     def dominant_rep(self, lam: Weight):
         """(dom, v, delta): dom = v(lam) dominant, v the minimal-length Weyl
         element achieving it, delta = length(v).
@@ -318,10 +349,6 @@ class RootSystem:
         Repeatedly reflects at the smallest simple index with negative pairing;
         the resulting v is minimal (exhaustively tested in low rank).
         """
-        memo = self.memo("dominant_rep")
-        res = memo.get(lam)
-        if res is not None:
-            return res
         cur = lam
         rows = list(self.identity_matrix)
         steps = 0
@@ -344,9 +371,7 @@ class RootSystem:
                 f"dominant_rep of {lam}: {steps} reflections but length "
                 f"{self.weyl_length(mat)}"
             )
-        res = (cur, v, steps)
-        memo[lam] = res
-        return res
+        return cur, v, steps
 
     def dom(self, lam: Weight) -> Weight:
         return self.dominant_rep(lam)[0]
@@ -369,25 +394,16 @@ class RootSystem:
     def weyl_length(self, matrix: Matrix) -> int:
         return sum(self.inversion_flags(matrix))
 
-    def weyl_element(self, matrix: Matrix) -> WeylElement:
-        memo = self.memo("weyl_elements")
-        w = memo.get(matrix)
-        if w is None:
-            w = WeylElement(matrix, self.weyl_length(matrix))
-            memo[matrix] = w
-        return w
-
-    def weyl_group(self, bound: int = WEYL_BOUND):
+    @memoized("weyl_group")
+    def weyl_group(self):
         """All Weyl group elements, enumerated by orbit traversal."""
-        key = ("weyl_group", bound)
-        if key in self._cache:
-            return self._cache[key]
         size = self.weyl_order()
-        if size > bound:
-            raise RootSystemError(f"Weyl group of order {size} is larger than bound {bound}")
+        if size > WEYL_BOUND:
+            raise RootSystemError(
+                f"Weyl group of order {size} is larger than bound {WEYL_BOUND}")
         gens = [self.simple_reflection_matrix(i) for i in range(self.rank)]
         seen = {self.identity_matrix}
-        order = [self.weyl_element(self.identity_matrix)]
+        order = [WeylElement(self.identity_matrix, 0)]
         frontier = [self.identity_matrix]
         while frontier:
             nxt = []
@@ -397,9 +413,8 @@ class RootSystem:
                     if prod not in seen:
                         seen.add(prod)
                         nxt.append(prod)
-                        order.append(self.weyl_element(prod))
+                        order.append(WeylElement(prod, self.weyl_length(prod)))
             frontier = nxt
-        self._cache[key] = order
         return order
 
     def weyl_orbit(self, lam: Weight):
@@ -430,12 +445,10 @@ class RootSystem:
             den *= h
         return num // den
 
+    @memoized("longest")
     def longest_element(self) -> WeylElement:
         """w_0, the minimal v with v(-rho) = rho (-rho is regular)."""
-        key = "longest"
-        if key not in self._cache:
-            self._cache[key] = self.dominant_rep(self.neg(self.rho))[1]
-        return self._cache[key]
+        return self.dominant_rep(self.neg(self.rho))[1]
 
     def minus_w0(self, lam: Weight) -> Weight:
         """-w_0(lam); permutes the dominant weights."""
@@ -531,7 +544,7 @@ def build_root_system(spec: str) -> RootSystem:
             cartan.append((0,) * offset + row + (0,) * (total - offset - n))
         offset += n
     cartan = tuple(cartan)
-    symmetrizers = _validate_cartan(cartan)
+    symmetrizers, det, adjugate = _validate_cartan(cartan)
 
     rank = total
     simple_roots = tuple(zip(*cartan))
@@ -554,7 +567,6 @@ def build_root_system(spec: str) -> RootSystem:
         highest = max(in_comp, key=lambda r: sum(r.root_coords))
         comps.append((idx, highest))
         offset += n
-    det, adjugate = _det_adjugate(cartan)
     return RootSystem(
         spec="x".join(f"{l}{n}" for l, n in types),
         rank=rank,

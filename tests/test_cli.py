@@ -169,13 +169,6 @@ def test_cache_version_mismatch_ignored(tmp_path, capsys):
     assert (code, out) == (0, "v")
 
 
-def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EXOTIC_CACHE_DIR", str(tmp_path))
-    code, out, _ = run_cli(capsys, "qanalogue", "A1", "[2]", "[0]")
-    assert (code, out) == (0, "v")
-    assert (tmp_path / "exotictilt-cache.json").exists()
-
-
 def test_parse_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "length", "A1", "q9")
     assert code == 2 and "token" in err

@@ -77,10 +77,8 @@ def test_bott_samelson_examples(a1):
 def test_bott_samelson_order_flag(a2):
     om = aw.omega_of_weight(a2, (1, 0))
     seq = [1, 2]
-    forward = ek.bott_samelson_class(a2, om, seq)
-    backward = ek.bott_samelson_class(a2, om, list(reversed(seq)), reverse=True)
-    assert forward == backward
-    assert forward != ek.bott_samelson_class(a2, om, seq, reverse=True)
+    assert ek.bott_samelson_class(a2, om, seq) != \
+        ek.bott_samelson_class(a2, om, seq[::-1])
 
 
 def test_tensor_class_examples(a1):

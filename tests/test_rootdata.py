@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from exotictilt import rootdata
 from exotictilt.rootdata import RootSystemError, _validate_cartan, build_root_system
 
 from conftest import get_rs, specs_up_to_rank
@@ -179,10 +180,10 @@ def test_weyl_order_macdonald_formula():
         assert build_root_system(spec).weyl_order() == order
 
 
-def test_weyl_bound():
-    rs = get_rs("B2")
+def test_weyl_bound(monkeypatch):
+    monkeypatch.setattr(rootdata, "WEYL_BOUND", 3)
     with pytest.raises(RootSystemError):
-        rs.weyl_group(bound=3)
+        build_root_system("B2").weyl_group()
 
 
 def test_weyl_bound_trips_before_enumerating():
@@ -193,7 +194,7 @@ def test_weyl_bound_trips_before_enumerating():
     with pytest.raises(RootSystemError, match="2903040"):
         rs.weyl_group()
     assert time.perf_counter() - start < 1.0
-    assert "weyl_elements" not in rs._cache
+    assert not rs.memo("weyl_group")
 
 
 def test_dominant_below_matches_conv_set():

@@ -34,3 +34,22 @@ def test_no_streaming_json_dump():
                     and any(alias.name == "dump" for alias in node.names)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_memo_tables_are_reached_only_through_memo():
+    """Memo tables live in RootSystem._cache, which only RootSystem.memo
+    and rootdata.memoized touch; everything else goes through them."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "rootdata.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name in (
+                        "memo", "memoized"):
+                    allowed.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "_cache"
+                    and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

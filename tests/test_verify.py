@@ -121,5 +121,4 @@ def test_bernstein_pair_budget():
     rs = build_root_system("F4")
     with pytest.raises(ValueError, match="1327104 pairs"):
         verify._check_budget(rs, ["bernstein"], 0)
-    assert not any(isinstance(k, tuple) and k[0] == "weyl_group"
-                   for k in rs._cache)
+    assert not rs.memo("weyl_group")
