@@ -25,7 +25,7 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .rootdata import RootSystem, RootSystemError, Weight, memoized
+from .rootdata import RootSystem, RootSystemError, Weight, closure, memoized
 
 
 class AffineElement(NamedTuple):
@@ -211,27 +211,20 @@ def coset_class_key(rs: RootSystem, lam: Weight):
 
 @memoized("omega_elements")
 def omega_elements(rs: RootSystem) -> dict:
-    """class key -> the length-0 element of W_aff in that Z.Phi-class."""
-    reps = {coset_class_key(rs, rs.zero()): rs.zero()}
-    frontier = [rs.zero()]
-    fund = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
-    while frontier:
-        nxt = []
-        for lam in frontier:
-            for f in fund:
-                mu = rs.add(lam, f)
-                key = coset_class_key(rs, mu)
-                if key not in reps:
-                    reps[key] = mu
-                    nxt.append(mu)
-        frontier = nxt
-    out = {}
-    for key, lam in reps.items():
-        omega, _ = reduced_word(rs, t_lambda(rs, lam))
+    """class key -> the length-0 element of W_aff in that Z.Phi-class.
+
+    w t_lam -> lam mod Z.Phi is a homomorphism with kernel W_aff^Cox, so
+    Omega is the group generated by the length-0 parts of the t_f, f over
+    the fundamental weights (the rows of the identity) outside Z.Phi."""
+    gens = [reduced_word(rs, t_lambda(rs, f))[0]
+            for f in rs.identity_matrix if any(coset_class_key(rs, f))]
+
+    def times_gens(omega):
         if aff_length(rs, omega) != 0:
-            raise AssertionError(f"Omega representative of {lam} has positive length")
-        out[key] = omega
-    return out
+            raise AssertionError(f"Omega element {omega} has positive length")
+        return [aff_mul(rs, omega, g) for g in gens]
+    return {coset_class_key(rs, omega.t): omega
+            for omega in closure([identity(rs)], times_gens)}
 
 
 def omega_of_weight(rs: RootSystem, lam: Weight) -> AffineElement:

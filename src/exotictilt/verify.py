@@ -7,9 +7,10 @@ report does.  Randomized checks take an explicit seed.
 from __future__ import annotations
 
 import random
+from operator import mul
 
-from .laurent import LaurentPoly, VINV
-from .rootdata import WEYL_BOUND, RootSystem
+from .laurent import LaurentPoly, ONE, VINV
+from .rootdata import WEYL_BOUND, RootSystem, closure
 from . import affweyl, exotic_k, heckebraid, tiltmult
 from .charring import CharacterMultiset, WEYL_BASIS
 from .affweyl import aff_length, aff_mul, simple_generators, t_lambda
@@ -50,20 +51,11 @@ def reflection_closure(rs: RootSystem, lam):
     touch W_aff: the closure of x -> s_b(x) = x - <x, b_vee> b over the
     positive roots b with <x, b_vee> < 0, the steps with s_b(x) - x in
     Z_{>0} b."""
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for root in rs.positive_roots:
-                c = rs.pairing(x, root)
-                if c < 0:
-                    y = tuple([a - c * b for a, b in zip(x, root.coords)])
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return seen
+    def up(x):
+        return [tuple([a - c * b for a, b in zip(x, root.coords)])
+                for root in rs.positive_roots
+                if (c := sum(map(mul, root.coroot, x))) < 0]
+    return set(closure([lam], up))
 
 
 def suite_order(rs: RootSystem, radius: int, seed: int = 0):
@@ -225,7 +217,7 @@ def suite_module(rs: RootSystem, radius: int, seed: int = 0):
     for lam in box:
         d = exotic_k.delta_class(rs, lam)
         tri.check(
-            d.coefficient(lam) == LaurentPoly.one(),
+            d.coefficient(lam) == ONE,
             f"delta diagonal not 1 at {lam}",
         )
         for mu in d.terms:

@@ -351,6 +351,15 @@ def test_deeply_nested_character_file_exits_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error: cannot read character file")
 
 
+def test_deeply_nested_weight_literal_exits_2(capsys):
+    nested = "[" * 3000 + "]" * 3000
+    for argv in (("qanalogue", "A1", nested, "[0]"),
+                 ("length", "A1", "t" + nested)):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error: bad weight literal"), argv
+        assert len(err.splitlines()) == 1, argv
+
+
 def test_parser_state_does_not_leak_between_runs(capsys):
     code, out, _ = run_cli(capsys, "qanalogue", "A2", "[1,1]", "[0,0]",
                            "--json", "--seed", "3")

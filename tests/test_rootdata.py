@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from exotictilt import rootdata
-from exotictilt.rootdata import RootSystemError, _validate_cartan, build_root_system
+from exotictilt import affweyl as aw, rootdata
+from exotictilt.rootdata import (
+    RootSystemError, WeylElement, _validate_cartan, build_root_system, closure)
 
 from conftest import get_rs, specs_up_to_rank
 
@@ -33,6 +34,46 @@ def conv_set(rs, lam):
                     nxt.append(nu)
         frontier = nxt
     return sorted(seen)
+
+
+def weyl_group_oracle(rs):
+    """W by a level-by-level traversal from the identity under right
+    multiplication by the simple reflections: the order weyl_group keeps."""
+    gens = [rs.simple_reflection_matrix(i) for i in range(rs.rank)]
+    seen = {rs.identity_matrix}
+    order = [WeylElement(rs.identity_matrix, 0)]
+    frontier = [rs.identity_matrix]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = rs.mat_mul(m, g)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+                    order.append(WeylElement(prod, rs.weyl_length(prod)))
+        frontier = nxt
+    return order
+
+
+def omega_elements_oracle(rs):
+    """Omega by a walk over weights, one per class of X / Z.Phi, each class
+    taken to the length-0 part of its translation."""
+    reps = {aw.coset_class_key(rs, rs.zero()): rs.zero()}
+    frontier = [rs.zero()]
+    fund = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    while frontier:
+        nxt = []
+        for lam in frontier:
+            for f in fund:
+                mu = rs.add(lam, f)
+                key = aw.coset_class_key(rs, mu)
+                if key not in reps:
+                    reps[key] = mu
+                    nxt.append(mu)
+        frontier = nxt
+    return {key: aw.reduced_word(rs, aw.t_lambda(rs, lam))[0]
+            for key, lam in reps.items()}
 
 
 def conv_interior(rs, lam):
@@ -82,12 +123,17 @@ def test_known_counts():
         assert len(rs.weyl_group()) == nw
 
 
+def pair(lam, root):
+    """<lam, root_vee> through the coroot functional of a PositiveRoot."""
+    return sum(a * b for a, b in zip(root.coroot, lam))
+
+
 def test_pairing_examples(a1, a2):
     alpha = a1.positive_roots[0]
-    assert a1.pairing((1,), alpha) == 1
-    assert a1.pairing((-2,), alpha) == -2
+    assert pair((1,), alpha) == 1
+    assert pair((-2,), alpha) == -2
     theta = next(r for r in a2.positive_roots if r.coords == (1, 1))
-    assert a2.pairing(a2.rho, theta) == 2
+    assert pair(a2.rho, theta) == 2
     # theta_vee = alpha_vee + beta_vee in A2
     a, b = (r.coroot for r in a2.positive_roots if r.coords != (1, 1))
     assert tuple(x + y for x, y in zip(a, b)) == theta.coroot
@@ -97,7 +143,7 @@ def test_coroot_pairing_is_two_on_own_root():
     for spec in ["A2", "B2", "G2", "F4"]:
         rs = get_rs(spec)
         for r in rs.positive_roots:
-            assert rs.pairing(r.coords, r) == 2
+            assert pair(r.coords, r) == 2
 
 
 def test_dominant_rep_examples(a1, a2):
@@ -250,3 +296,37 @@ def test_conv_agrees_with_geometric_hull(spec):
             in_lattice = rs.root_coords_int(rs.sub(mu, lam)) is not None
             expected = in_lattice and _in_hull(orbit, mu)
             assert (mu in conv) == expected, (spec, lam, mu)
+
+
+# --- the breadth-first closure -------------------------------------------------
+
+
+def test_closure_lists_each_item_once_breadth_first():
+    # 0 -> 1, 2; 1 -> 3; 2 -> 3, 0; 3 -> 4: levels {0}, {1, 2}, {3}, {4}
+    edges = {0: [1, 2], 1: [3], 2: [3, 0], 3: [4], 4: []}
+    assert closure([0], edges.__getitem__) == [0, 1, 2, 3, 4]
+    assert closure([3, 0], edges.__getitem__) == [3, 0, 4, 1, 2]
+
+
+def test_closure_keeps_the_first_of_duplicate_starts():
+    assert closure([2, 1, 2, 1], lambda x: [x - 1] if x > 0 else []) == [2, 1, 0]
+    out = closure([1, 1.0, True], lambda x: [])
+    assert out == [1] and type(out[0]) is int
+    assert closure([], lambda x: [x]) == []
+
+
+WALK_SPECS = ["A1", "A2", "A3", "B2", "C3", "D4", "G2", "A1xA2", "B3xC2"]
+
+
+@pytest.mark.parametrize("spec", WALK_SPECS)
+def test_weyl_group_matches_the_traversal_oracle_in_order(spec):
+    rs = build_root_system(spec)
+    assert rs.weyl_group() == weyl_group_oracle(rs)
+
+
+@pytest.mark.parametrize("spec", WALK_SPECS)
+def test_omega_elements_match_the_weight_walk_oracle_in_order(spec):
+    rs = build_root_system(spec)
+    new, old = aw.omega_elements(rs), omega_elements_oracle(rs)
+    assert list(new.items()) == list(old.items())
+    assert all(aw.aff_length(rs, om) == 0 for om in new.values())
