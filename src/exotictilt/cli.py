@@ -27,7 +27,7 @@ from .laurent import LaurentPoly, ONE
 from .rootdata import RootSystem, RootSystemError, build_root_system
 from . import affweyl, charring, exotic_k, heckebraid, tiltmult, verify
 from .affweyl import AffineElement
-from .charring import CharacterMultiset
+from .charring import GOOD_BASIS, WEYL_BASIS, CharacterMultiset
 from .exotic_k import KClass
 from .heckebraid import HeckeElement
 
@@ -42,13 +42,20 @@ class CliError(ValueError):
 # Parsing
 
 
+def _shown(value) -> str:
+    """repr(value) for an error line, cut to 60 characters: a quoted
+    literal can be thousands of characters long."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def parse_weight(rs: RootSystem, text: str):
     try:
         coords = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise CliError(f"bad weight literal {text!r}: {exc}") from None
+        raise CliError(f"bad weight literal {_shown(text)}: {exc}") from None
     if not _is_int_list(coords, rs.rank):
-        raise CliError(f"weight {text!r} must be {rs.rank} integers")
+        raise CliError(f"weight {_shown(text)} must be {rs.rank} integers")
     return tuple(coords)
 
 
@@ -75,7 +82,7 @@ def parse_element(rs: RootSystem, text: str) -> AffineElement:
         elif token.startswith("s"):
             x = affweyl.aff_mul(rs, x, gens[parse_generator(rs, token)])
         else:
-            raise CliError(f"bad element token {token!r}")
+            raise CliError(f"bad element token {_shown(token)}")
     return x
 
 
@@ -96,20 +103,20 @@ def parse_omega_arg(rs: RootSystem, text: str) -> AffineElement:
         return affweyl.omega_of_weight(rs, parse_weight(rs, text[1:]))
     x = parse_element(rs, text)
     if affweyl.aff_length(rs, x) != 0:
-        raise CliError(f"element {text!r} does not have length 0")
+        raise CliError(f"element {_shown(text)} does not have length 0")
     return x
 
 
 def parse_generator(rs: RootSystem, token: str) -> int:
     """The generator id of a token "s<k>" naming a simple reflection of rs."""
     if not token.startswith("s"):
-        raise CliError(f"expected a generator token, got {token!r}")
+        raise CliError(f"expected a generator token, got {_shown(token)}")
     try:
         gid = int(token[1:])
     except ValueError:
-        raise CliError(f"bad generator token {token!r}") from None
+        raise CliError(f"bad generator token {_shown(token)}") from None
     if gid not in affweyl.simple_generators(rs):
-        raise CliError(f"no simple reflection {token!r} in {rs.spec}")
+        raise CliError(f"no simple reflection {_shown(token)} in {rs.spec}")
     return gid
 
 
@@ -121,19 +128,21 @@ def load_character(rs: RootSystem, path: str) -> CharacterMultiset:
         raise CliError(f"cannot read character file {path}: {exc}") from None
     if not isinstance(doc, dict) or "basis" not in doc or "mults" not in doc:
         raise CliError("character file needs 'basis' and 'mults' fields")
+    if doc["basis"] not in (WEYL_BASIS, GOOD_BASIS):
+        raise CliError(f"unknown basis kind {_shown(doc['basis'])}")
     if not isinstance(doc["mults"], list):
         raise CliError("character file 'mults' must be a list")
     mults = {}
     for rec in doc["mults"]:
         if not isinstance(rec, dict) or "weight" not in rec or "count" not in rec:
             raise CliError(
-                f"character record {rec!r} needs 'weight' and 'count' fields"
+                f"character record {_shown(rec)} needs 'weight' and 'count' fields"
             )
         w, count = rec["weight"], rec["count"]
         if not _is_int_list(w, rs.rank):
-            raise CliError(f"character weight {w!r} must be {rs.rank} integers")
+            raise CliError(f"character weight {_shown(w)} must be {rs.rank} integers")
         if not _is_int(count):
-            raise CliError(f"character count {count!r} must be an integer")
+            raise CliError(f"character count {_shown(count)} must be an integer")
         w = tuple(w)
         mults[w] = mults.get(w, 0) + count
     try:
@@ -371,6 +380,9 @@ def cmd_theta(rs, args):
 
 
 def cmd_kclass(rs, args):
+    if args.kind != "bs" and len(args.args) != 1:
+        raise CliError(f"kclass {args.kind} takes one weight, "
+                       f"got {len(args.args)} arguments")
     if args.kind == "line":
         c = exotic_k.line_bundle_class(rs, parse_weight(rs, args.args[0]))
     elif args.kind == "delta":
@@ -456,7 +468,7 @@ def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value

@@ -36,19 +36,23 @@ def gamma_graded_char(rs: RootSystem, lam: Weight, nu: Weight) -> LaurentPoly:
     return charring.lusztig_q(rs, nu, lam).compose_power(2)
 
 
+def _q_sum(rs: RootSystem, pairs, kappa: Weight, k: int) -> LaurentPoly:
+    """sum count M_nu^kappa(v^k) over the (nu, count) pairs."""
+    total = ZERO
+    for nu, count in pairs:
+        q = charring.lusztig_q(rs, nu, kappa)
+        if q:
+            total = total + q.compose_power(k) * count
+    return total
+
+
 def std_mult(rs: RootSystem, cm: CharacterMultiset, mu: Weight) -> LaurentPoly:
     """Graded multiplicity of Delta^mu in V (x) O, V given by Weyl-basis
     multiplicities."""
     if cm.basis_kind != WEYL_BASIS:
         raise ValueError("std_mult needs a Weyl-basis character multiset")
     mu = tuple(mu)
-    dom_mu = rs.dom(mu)
-    total = ZERO
-    for nu, count in cm.mults:
-        q = charring.lusztig_q(rs, nu, dom_mu)
-        if q:
-            total = total + q.compose_power(-2) * count
-    return total * LaurentPoly.v(-rs.delta(mu))
+    return _q_sum(rs, cm.mults, rs.dom(mu), -2) * LaurentPoly.v(-rs.delta(mu))
 
 
 def costd_mult(rs: RootSystem, cm: CharacterMultiset, mu: Weight) -> LaurentPoly:
@@ -57,40 +61,32 @@ def costd_mult(rs: RootSystem, cm: CharacterMultiset, mu: Weight) -> LaurentPoly
     if cm.basis_kind != GOOD_BASIS:
         raise ValueError("costd_mult needs a good-basis character multiset")
     mu = tuple(mu)
-    dom_neg = rs.dom(rs.neg(mu))
-    total = ZERO
-    for nu_prime, count in cm.mults:
-        # the formula sums (V : N(-w_0 nu)) M_nu^{dom(-mu)}; nu = -w_0 nu'
-        nu = rs.minus_w0(nu_prime)
-        q = charring.lusztig_q(rs, nu, dom_neg)
-        if q:
-            total = total + q.compose_power(2) * count
-    return total * LaurentPoly.v(rs.delta(mu))
+    # the formula sums (V : N(-w_0 nu)) M_nu^{dom(-mu)}; re-index nu -> -w_0 nu
+    pairs = [(rs.minus_w0(nu), count) for nu, count in cm.mults]
+    return _q_sum(rs, pairs, rs.dom(rs.neg(mu)), 2) * LaurentPoly.v(rs.delta(mu))
 
 
 # ---------------------------------------------------------------------------
 # Dominant tilting classes
 
 
-def _support_weights(rs: RootSystem, cm: CharacterMultiset):
-    """All mu with dom(mu) dominance-below some weight in the support."""
+def costandard_expansion(rs: RootSystem, cm: CharacterMultiset) -> KClass:
+    """sum_mu costd_mult(V, mu) m_mu over the finite support, V read in the
+    good basis whatever the basis of cm.
+
+    costd_mult depends on mu only through dom(-mu) = -w_0 dom(mu) and the
+    shift v^{delta(mu)}, so there is one q-analogue sum per dominant weight d
+    below the support, spread over the W-orbit of d."""
+    pairs = [(rs.minus_w0(nu), count) for nu, count in cm.mults]
     doms = set()
     for nu, _ in cm.mults:
         doms.update(rs.dominant_below(nu))
-    out = set()
-    for d in doms:
-        out.update(rs.weyl_orbit(d))
-    return sorted(out)
-
-
-def costandard_expansion(rs: RootSystem, cm: CharacterMultiset) -> KClass:
-    """sum_mu costd_mult(V, mu) m_mu over the finite support."""
-    good = cm if cm.basis_kind == GOOD_BASIS else cm.relabel(GOOD_BASIS)
     terms = {}
-    for mu in _support_weights(rs, good):
-        p = costd_mult(rs, good, mu)
+    for d in sorted(doms):
+        p = _q_sum(rs, pairs, rs.minus_w0(d), 2)
         if p:
-            terms[mu] = p
+            for mu in rs.weyl_orbit(d):
+                terms[mu] = p * LaurentPoly.v(rs.delta(mu))
     return KClass(terms)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from operator import mul
 
-from .laurent import LaurentPoly, ONE, VINV
+from .laurent import LaurentPoly, ONE, VINV, V_MINUS_VINV
 from .rootdata import WEYL_BOUND, RootSystem, closure
 from . import affweyl, exotic_k, heckebraid, tiltmult
 from .charring import CharacterMultiset, WEYL_BASIS
@@ -155,7 +155,7 @@ def suite_module(rs: RootSystem, radius: int, seed: int = 0):
             # (T_s - v^-1)(T_s + v) kills every basis class
             val = (
                 exotic_k.act_simple(rs, once, gid)
-                + once.scale(LaurentPoly({1: 1, -1: -1}))
+                + once.scale(V_MINUS_VINV)
                 - c
             )
             quad.check(not val, f"quadratic fails at m_{lam}, s={gid}")
@@ -185,12 +185,11 @@ def suite_module(rs: RootSystem, radius: int, seed: int = 0):
     axioms = Report(f"module-axioms[{rs.spec}, seed {seed}]")
     words = []
     for _ in range(12):
-        n = rng.randint(0, 4)
-        words.append([rng.choice(order) for _ in range(n)])
-    for wa in words[:6]:
-        for wb in words[6:]:
-            xi = _word_elt(rs, wa)
-            eta = _word_elt(rs, wb)
+        gids = [rng.choice(order) for _ in range(rng.randint(0, 4))]
+        word = BraidWord(tuple(("s", gid, 1) for gid in gids))
+        words.append((gids, heckebraid.evaluate_word(rs, word)))
+    for wa, xi in words[:6]:
+        for wb, eta in words[6:]:
             c = exotic_k.KClass.basis(rng.choice(box))
             lhs = exotic_k.act_hecke(rs, c, heckebraid.hecke_mul(rs, xi, eta))
             rhs = exotic_k.act_hecke(rs, exotic_k.act_hecke(rs, c, xi), eta)
@@ -227,13 +226,6 @@ def suite_module(rs: RootSystem, radius: int, seed: int = 0):
                     f"delta support not below at {lam}: {mu}",
                 )
     return [quad, sph, jformula, axioms, shadow, tri]
-
-
-def _word_elt(rs, gids) -> HeckeElement:
-    xi = heckebraid.unit(rs)
-    for gid in gids:
-        xi = heckebraid.mul_gen(rs, xi, gid, "right")
-    return xi
 
 
 def suite_anchors(rs: RootSystem, radius: int, seed: int = 0):

@@ -357,7 +357,32 @@ def test_deeply_nested_weight_literal_exits_2(capsys):
                  ("length", "A1", "t" + nested)):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error: bad weight literal"), argv
-        assert len(err.splitlines()) == 1, argv
+        assert len(err.splitlines()) == 1 and len(err) < 200, argv
+
+
+def test_long_inputs_give_short_error_lines(tmp_path, capsys):
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps({"basis": "Weyl", "mults": [
+        {"weight": [0] * 5000, "count": 1}]}))
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps({"basis": "x" * 5000, "mults": []}))
+    for argv in (("length", "A1", "q" * 5000),
+                 ("length", "A1", "s" * 5000),
+                 ("length", "A1", "s1" + "0" * 5000),
+                 ("wlambda", "A1", json.dumps([0] * 5000)),
+                 ("kclass", "bs", "A2", "s1" * 5000),
+                 ("tilt", "std", "A1", str(path), "[0]"),
+                 ("tilt", "std", "A1", str(basis), "[0]")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv[:2]
+        assert len(err.splitlines()) == 1 and len(err) < 200, argv[:2]
+
+
+@pytest.mark.parametrize("kind", ["line", "delta", "nabla"])
+def test_kclass_extra_weight_exits_2(capsys, kind):
+    code, out, err = run_cli(capsys, "kclass", kind, "A2", "[1,0]", "[0,1]")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_parser_state_does_not_leak_between_runs(capsys):

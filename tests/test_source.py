@@ -53,3 +53,30 @@ def test_memo_tables_are_reached_only_through_memo():
                     and id(node) not in allowed):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_memo_table_names_are_unique():
+    """Two functions memoized under one table name would silently return
+    each other's values."""
+    owners = {}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for dec in node.decorator_list:
+                if not (isinstance(dec, ast.Call)
+                        and isinstance(dec.func, ast.Name)
+                        and dec.func.id == "memoized"):
+                    continue
+                where = f"{path.name}:{node.name}"
+                arg = dec.args[0] if dec.args else None
+                if not (isinstance(arg, ast.Constant)
+                        and isinstance(arg.value, str)):
+                    found.append(f"{where}: table name is not a literal")
+                elif arg.value in owners:
+                    found.append(f"{where}: {arg.value!r} is also the table "
+                                 f"of {owners[arg.value]}")
+                else:
+                    owners[arg.value] = where
+    assert owners and not found, found

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from exotictilt import affweyl as aw, exotic_k as ek, tiltmult as tm
+from exotictilt import affweyl as aw, charring, exotic_k as ek, tiltmult as tm
 from exotictilt.charring import CharacterMultiset
 from exotictilt.exotic_k import KClass
 from exotictilt.laurent import LaurentPoly, ONE, ZERO
@@ -99,6 +99,46 @@ def test_std_support_bound(b2):
     for mu in aw.weight_box(b2, 2):
         if tm.std_mult(b2, V, mu):
             assert b2.dominance_leq(b2.dom(mu), (1, 1))
+
+
+def per_weight_expansion(rs, cm):
+    """The per-weight path: costd_mult at every weight of the W-orbits of
+    the dominant weights below the support, each its own q-analogue sum."""
+    good = cm.relabel("good")
+    terms = {}
+    for nu, _ in cm.mults:
+        for d in rs.dominant_below(nu):
+            for mu in rs.weyl_orbit(d):
+                terms[mu] = tm.costd_mult(rs, good, mu)
+    return KClass(terms)
+
+
+@pytest.mark.parametrize("spec, top", [
+    ("A1", 4), ("A2", 3), ("B2", 3), ("G2", 2), ("A3", 2)])
+def test_costandard_expansion_matches_per_weight_oracle(spec, top):
+    rs = get_rs(spec)
+    box = list(itertools.product(range(top + 1), repeat=rs.rank))
+    chars = [{lam: 1} for lam in box]
+    chars += [{lam: 1, mu: 2} for lam, mu in zip(box, box[1:])]
+    for mults in chars:
+        for cm in (weyl_char(rs, mults), good_char(rs, mults)):
+            assert tm.costandard_expansion(rs, cm) == \
+                per_weight_expansion(rs, cm), (spec, mults, cm.basis_kind)
+
+
+def test_dominant_tilting_class_makes_one_q_sum_per_dominant_weight(
+        monkeypatch):
+    rs = get_rs("A3")
+    rho = (1, 1, 1)
+    calls = []
+    real = charring.lusztig_q
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(charring, "lusztig_q", counted)
+    tm.dominant_tilting_class(rs, rho)
+    assert len(calls) == len(rs.dominant_below(rho))
 
 
 def test_reconcile_examples(a1):
