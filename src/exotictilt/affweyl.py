@@ -162,12 +162,9 @@ def gen_step(rs: RootSystem, x: AffineElement, gid: int, side="right"):
 
 
 def generator_order(rs: RootSystem):
-    """Deterministic generator ordering: finite 1..rank, then affine."""
-    return sorted(simple_generators(rs), key=gen_sort_key)
-
-
-def gen_sort_key(gid: int):
-    return (0, gid) if gid > 0 else (1, -gid)
+    """Deterministic generator ordering: finite 1..rank, then affine 0, -1,
+    ..., the order in which gen_roots stores them."""
+    return list(gen_roots(rs))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +176,8 @@ def reduced_word(rs: RootSystem, x: AffineElement):
     """(omega, word): x = omega * s_{word[0]} ... s_{word[-1]} with
     len(word) == len(x) and len(omega) == 0.
 
-    Greedy right-descent stripping; the smallest generator id wins ties.
+    Greedy right-descent stripping; of the right descents, the first in
+    generator_order is taken.
     """
     order = generator_order(rs)
     letters = []

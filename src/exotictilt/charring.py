@@ -10,16 +10,15 @@ characteristic tilting characters enter only as user-supplied multisets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import ge, le, mul
 
 from .laurent import LaurentPoly, ZERO
-from .rootdata import (
-    KOSTANT_BIT_BOUND, KOSTANT_BOUND, RootSystem, RootSystemError, Weight,
-    memoized,
-)
+from .rootdata import RootSystem, RootSystemError, Weight, memoized
+
+KOSTANT_BOUND = 2 * 10**5  # entries of a dense Kostant table
+KOSTANT_BIT_BOUND = 10**8  # bits of the packed polynomials of that table
 
 WEYL_BASIS = "Weyl"
 GOOD_BASIS = "good"
@@ -248,39 +247,40 @@ def lusztig_q(rs: RootSystem, lam: Weight, mu: Weight) -> LaurentPoly:
 
 @memoized("freudenthal")
 def _dominant_mult_table(rs: RootSystem, lam: Weight) -> dict:
-    """dominant weight -> dim M(lam)_weight, by the Freudenthal recursion."""
+    """dominant weight -> dim M(lam)_weight, by the Freudenthal recursion on
+    det A * ( , ); det A cancels between the sum and the divisor."""
     if not rs.is_dominant(lam):
         raise ValueError("Freudenthal table needs a dominant highest weight")
     doms = rs.dominant_below(lam)
-    doms.sort(key=lambda mu: rs.height(rs.sub(lam, mu)))
+    doms.sort(key=lambda mu: sum(map(mul, rs.height_row, rs.sub(lam, mu))))
     rho = rs.rho
-    lam_norm = rs.inner(rs.add(lam, rho), rs.add(lam, rho))
-    lam_sq = rs.inner(lam, lam)
+    lam_norm = rs.det_inner(rs.add(lam, rho), rs.add(lam, rho))
+    lam_sq = rs.det_inner(lam, lam)
     table = {}
     for mu in doms:
         if mu == lam:
             table[mu] = 1
             continue
-        num = Fraction(0)
+        num = 0
         for root in rs.positive_roots:
             k = 1
             while True:
                 up = rs.add(mu, tuple(k * a for a in root.coords))
-                if rs.inner(up, up) > lam_sq:
+                if rs.det_inner(up, up) > lam_sq:
                     break
                 m = table.get(rs.dom(up), 0)
                 if m:
-                    num += 2 * m * rs.inner(up, root.coords)
+                    num += 2 * m * rs.det_inner(up, root.coords)
                 k += 1
-        denom = lam_norm - rs.inner(rs.add(mu, rho), rs.add(mu, rho))
-        val = num / denom
-        if val.denominator != 1 or val < 0:
+        denom = lam_norm - rs.det_inner(rs.add(mu, rho), rs.add(mu, rho))
+        val, rem = divmod(num, denom)
+        if rem or val < 0:
             raise AssertionError(
-                f"Freudenthal multiplicity {val} at {mu} in M({lam}) is not "
-                "a nonnegative integer"
+                f"Freudenthal multiplicity {num}/{denom} at {mu} in M({lam}) "
+                "is not a nonnegative integer"
             )
         if val:
-            table[mu] = int(val)
+            table[mu] = val
     return table
 
 

@@ -176,7 +176,7 @@ def _coef_prefix(p: LaurentPoly) -> str:
     if p == ONE:
         return ""
     s = str(p)
-    if len(p.c) > 1 or s.startswith("-"):
+    if p.max_exp() != p.min_exp() or s.startswith("-"):
         return f"({s})*"
     return f"{s}*"
 

@@ -97,7 +97,7 @@ class LaurentPoly:
     # -- queries and transforms ----------------------------------------------
 
     def __call__(self, x):
-        """Evaluate at an integer (or Fraction) value of v."""
+        """Evaluate at v = x (a rational x if there are negative powers)."""
         return sum(c * x**e for e, c in self.c.items())
 
     def compose_power(self, k: int) -> "LaurentPoly":

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
 from operator import mul
@@ -29,8 +28,6 @@ Matrix = tuple  # tuple[tuple[int, ...], ...]
 
 MAX_RANK = 8
 WEYL_BOUND = 10**6
-KOSTANT_BOUND = 2 * 10**5  # entries of a dense Kostant table (charring)
-KOSTANT_BIT_BOUND = 10**8  # bits of the packed polynomials of that table
 
 
 class RootSystemError(ValueError):
@@ -307,13 +304,6 @@ class RootSystem:
 
     # -- coordinates ----------------------------------------------------------
 
-    def root_coords(self, lam: Weight):
-        """Coordinates of lam in the simple-root basis, as Fractions."""
-        det = self.cartan_det
-        return tuple(
-            Fraction(sum(map(mul, row, lam)), det) for row in self.cartan_adjugate
-        )
-
     def root_coords_int(self, lam: Weight):
         """Integer simple-root coordinates, or None if lam is not in Z.Phi."""
         det = self.cartan_det
@@ -325,17 +315,14 @@ class RootSystem:
             out.append(q)
         return tuple(out)
 
-    def height(self, lam: Weight):
-        """Sum of simple-root coordinates (a Fraction for general weights)."""
-        return Fraction(sum(map(mul, self.height_row, lam)), self.cartan_det)
-
-    def inner(self, lam: Weight, mu: Weight):
-        """W-invariant inner product with (alpha_i, alpha_i) = 2 d_i."""
-        scaled = sum(
+    def det_inner(self, lam: Weight, mu: Weight) -> int:
+        """det A * (lam, mu) for the W-invariant inner product with
+        (alpha_i, alpha_i) = 2 d_i: (lam, alpha_j) = d_j lam_j, and det A
+        times mu's simple-root coordinates is the adjugate applied to mu."""
+        return sum(
             sum(map(mul, row, mu)) * dj * lj
             for row, dj, lj in zip(self.cartan_adjugate, self.symmetrizers, lam)
         )
-        return Fraction(scaled, self.cartan_det)
 
     # -- dominance -------------------------------------------------------------
 

@@ -95,7 +95,8 @@ def dominant_tilting_class(rs: RootSystem, lam: Weight,
     """K-class of the dominant indecomposable tilting object T(lam) (x) O.
 
     tilt_char defaults to the characteristic-zero character {M(lam): 1}; a
-    supplied character must be a Weyl-basis multiset.
+    supplied character must be a Weyl-basis multiset with highest weight
+    lam: M(lam) once, every other M(nu) with nu <= lam.
     """
     lam = tuple(lam)
     if not rs.is_dominant(lam):
@@ -104,6 +105,10 @@ def dominant_tilting_class(rs: RootSystem, lam: Weight,
         tilt_char = CharacterMultiset.of(rs, {lam: 1}, WEYL_BASIS)
     if tilt_char.basis_kind != WEYL_BASIS:
         raise ValueError("tilting characters are Weyl-basis multisets")
+    mults = tilt_char.as_dict()
+    if mults.get(lam) != 1 or not all(rs.dominance_leq(nu, lam) for nu in mults):
+        raise ValueError("a tilting character of T(lam) must hold M(lam) "
+                         "once and otherwise only M(nu) with nu <= lam")
     return costandard_expansion(rs, tilt_char)
 
 

@@ -10,8 +10,8 @@ import random
 from operator import mul
 
 from .laurent import LaurentPoly, ONE, VINV, V_MINUS_VINV
-from .rootdata import WEYL_BOUND, RootSystem, closure
-from . import affweyl, exotic_k, heckebraid, tiltmult
+from .rootdata import RootSystem, closure
+from . import affweyl, exotic_k, heckebraid, rootdata, tiltmult
 from .charring import CharacterMultiset, WEYL_BASIS
 from .affweyl import aff_length, aff_mul, simple_generators, t_lambda
 from .heckebraid import BraidWord, HeckeElement, Report
@@ -303,7 +303,7 @@ def _check_budget(rs: RootSystem, names, radius: int) -> None:
             )
     if "bernstein" in names:
         size = rs.weyl_order()
-        if size > WEYL_BOUND:
+        if size > rootdata.WEYL_BOUND:
             rs.weyl_group()   # raises the enumeration bound's error at once
         if size * size > BERNSTEIN_PAIR_BOUND:
             raise ValueError(

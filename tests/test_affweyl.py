@@ -223,8 +223,8 @@ def oracle_affine_generators(rs):
 
 
 def oracle_reduced_word(rs, x):
-    """Greedy right-descent stripping by aff_mul and aff_length, the smallest
-    generator id first."""
+    """Greedy right-descent stripping by aff_mul and aff_length, the first
+    descent in generator_order taken."""
     gens = aw.simple_generators(rs)
     letters = []
     cur, clen = x, aw.aff_length(rs, x)
@@ -247,6 +247,8 @@ def test_affine_generators_match_search(spec):
     gens = aw.simple_generators(rs)
     oracle = oracle_affine_generators(rs)
     assert {gid: gens[gid] for gid in oracle} == oracle
+    assert aw.generator_order(rs) == [
+        *range(1, rs.rank + 1), *range(0, -len(rs.components), -1)]
     for i in range(rs.rank):
         assert gens[i + 1] == aw.AffineElement(
             rs.simple_reflection_matrix(i), rs.zero())

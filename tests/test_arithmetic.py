@@ -5,13 +5,14 @@ single-pass one replaced."""
 
 import dataclasses
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exotictilt import affweyl as aw
+from exotictilt import affweyl as aw, charring as ch
 from exotictilt.rootdata import PositiveRoot, _cartan_matrix, build_root_system
 
 from conftest import IRREDUCIBLE_UP_TO_RANK_8, PRODUCTS, get_rs
@@ -222,12 +223,15 @@ def test_weyl_arithmetic_matches_oracles(data):
     assert rs.weyl_length(x.w) == oracle_weyl_length(rs, x.w)
     lam, mu = x.t, y.t
     assert rs.root_coords_int(lam) == oracle_root_coords_int(rs, lam)
-    assert rs.root_coords(lam) == oracle_root_coords(rs, lam)
     c = oracle_root_coords_int(rs, rs.sub(mu, lam))
     assert rs.dominance_leq(lam, mu) == (c is not None and all(v >= 0 for v in c))
     det = rs.cartan_det
     assert aw.coset_class_key(rs, lam) == tuple(
         det * (q - q.__floor__()) for q in oracle_root_coords(rs, lam))
+    # (lam, mu) = sum_j d_j lam_j c_j, c the simple-root coordinates of mu
+    assert rs.det_inner(lam, mu) == det * sum(
+        d * a * c for d, a, c in
+        zip(rs.symmetrizers, lam, oracle_root_coords(rs, mu)))
 
 
 @pytest.mark.parametrize("spec", SPECS + ["D4", "F4", "E6"])
@@ -312,10 +316,12 @@ def test_mat_inv_refuses_non_weyl_matrices():
 
 def test_weyl_arithmetic_builds_no_fractions():
     """aff_mul, aff_length, reduced_word, mat_inv, root_coords_int, the
-    one-generator step on both sides and bruhat_leq run in integers only,
-    cold memo tables included."""
+    one-generator step on both sides, bruhat_leq and the Freudenthal tables
+    behind freudenthal_mult and module_weights run in integers only, cold
+    memo tables included."""
     rs = build_root_system("A3")
     cold = build_root_system("A3")     # for the step and Bruhat bursts
+    fresh = [build_root_system(spec) for spec in ("B3", "G2")]
     elements = [aw.AffineElement(w.matrix, lam)
                 for w in rs.weyl_group()[::3]
                 for lam in [(1, -2, 0), (-1, 1, 3), (0, 0, -2)]]
@@ -347,6 +353,10 @@ def test_weyl_arithmetic_builds_no_fractions():
         for x in elements[::4]:
             for y in elements[::7]:
                 aw.bruhat_leq(cold, x, y)
+        for other in fresh:
+            for lam in product(range(2), repeat=other.rank):
+                ch.freudenthal_mult(other, lam, other.zero())
+                ch.module_weights(other, lam)
     finally:
         Fraction.__new__ = saved
     assert made == []

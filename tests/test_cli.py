@@ -99,6 +99,19 @@ def test_tilt_commands(tmp_path, capsys):
     assert (code, out) == (0, "m[1] + v*m[-1]")
 
 
+def test_tilt_char_of_another_highest_weight_exits_2(tmp_path, capsys):
+    char = {"basis": "Weyl", "mults": [{"weight": [1, 0], "count": 1}]}
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps(char))
+    code, out, err = run_cli(
+        capsys, "tilt", "dominant", "A2", "[5,5]", "--tilt-char", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    code, out, _ = run_cli(
+        capsys, "tilt", "dominant", "A2", "[1,0]", "--tilt-char", str(path))
+    assert (code, out) == (0, "m[1,0] + v^2*m[0,-1] + v*m[-1,1]")
+
+
 def test_tilt_wrong_basis_exits_2(tmp_path, capsys):
     char = {"basis": "good", "mults": [{"weight": [1], "count": 1}]}
     path = tmp_path / "char.json"

@@ -80,3 +80,29 @@ def test_memo_table_names_are_unique():
                 else:
                     owners[arg.value] = where
     assert owners and not found, found
+
+
+def test_no_fractions():
+    """Every Weyl computation, the Freudenthal recursion included, runs in
+    integers scaled by det A: no source line names Fraction or the fractions
+    module, imported or not."""
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "Fraction" in line or "fractions" in line
+    ]
+    assert not found, found
+
+
+def test_laurent_coefficients_are_read_only_in_laurent():
+    """LaurentPoly.c is laurent.py's own representation; other modules go
+    through its methods, so the representation can change in one file."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "c":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -77,6 +77,17 @@ def test_dominant_tilting_custom_character(a2):
         tm.dominant_tilting_class(a2, (-1, 0))
 
 
+@pytest.mark.parametrize("mults", [
+    {(1, 0): 1},                    # M(lam) missing
+    {(1, 1): 2},                    # M(lam) twice
+    {(1, 1): 1, (3, 0): 1},         # (3, 0) is not <= (1, 1)
+    {(1, 1): 1, (2, 0): 1},         # (2, 0) - (1, 1) is not in Z.Phi
+])
+def test_dominant_tilting_class_refuses_other_highest_weights(a2, mults):
+    with pytest.raises(ValueError, match="M\\(lam\\) once"):
+        tm.dominant_tilting_class(a2, (1, 1), weyl_char(a2, mults))
+
+
 def test_unit_multiplicity_of_top_standard():
     """(T(lam) (x) O : Delta^lam) = 1 for the default character."""
     for spec in ["A1", "A2", "B2"]:

@@ -1,6 +1,8 @@
 import pytest
 
-from exotictilt import KClass, affweyl, build_root_system, cli, verify
+from exotictilt import (
+    KClass, affweyl, build_root_system, cli, rootdata, verify,
+)
 
 from conftest import get_rs
 
@@ -112,6 +114,16 @@ def test_bernstein_budget():
     for spec in ("A3", "B3"):
         with pytest.raises(ValueError, match="above the bound 200000"):
             verify.run_suites(get_rs(spec), "bernstein", radius=2)
+
+
+def test_weyl_bound_is_read_when_the_budget_is_checked(monkeypatch):
+    """The Weyl-group bound of rootdata, lowered after import, refuses the
+    bernstein suite before any theta is computed."""
+    monkeypatch.setattr(rootdata, "WEYL_BOUND", 3)
+    rs = build_root_system("A2")
+    with pytest.raises(rootdata.RootSystemError, match="bound 3"):
+        verify.run_suites(rs, "bernstein", radius=1)
+    assert not rs.memo("theta")
 
 
 def test_bernstein_pair_budget():
