@@ -244,30 +244,34 @@ def bruhat_leq(rs: RootSystem, x: AffineElement, y: AffineElement) -> bool:
 
 
 def _bruhat_cox(rs, u, w) -> bool:
+    """u <= w in W_aff^Cox: with s a left descent of w, compare s*u with s*w
+    when s also descends u, and u with s*w otherwise.  Each step shortens w,
+    so the walk is a loop; every pair it passes gets the final answer."""
     memo = rs.memo("bruhat")
     order = generator_order(rs)
     ident = identity(rs)
-
-    def rec(u, w, lu, lw):
+    lu, lw = aff_length(rs, u), aff_length(rs, w)
+    walked = []
+    while True:
         if u == w or u == ident:
-            return True
+            res = True
+            break
         if lu > lw or lw == 0:
-            return False
-        key = (u, w)
-        res = memo.get(key)
+            res = False
+            break
+        res = memo.get((u, w))
         if res is not None:
-            return res
+            break
+        walked.append((u, w))
         gid = next(g for g in order if descends(rs, w, g, "left"))
-        sw = gen_step(rs, w, gid, "left")[0]
+        w = gen_step(rs, w, gid, "left")[0]
         su, down = gen_step(rs, u, gid, "left")
         if down:
-            res = rec(su, sw, lu - 1, lw - 1)
-        else:
-            res = rec(u, sw, lu, lw - 1)
+            u, lu = su, lu - 1
+        lw -= 1
+    for key in walked:
         memo[key] = res
-        return res
-
-    return rec(u, w, aff_length(rs, u), aff_length(rs, w))
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def act_hecke(rs, c: KClass, xi) -> KClass:
     """Right action of a HeckeElement or BraidWord."""
     if isinstance(xi, BraidWord):
         return _act(rs, c, xi.letters)
-    out = KClass.zero()
+    out = KClass()
     for x, p in xi.terms.items():
         out = out + _act(rs, c, word_letters(rs, x)).scale(p)
     return out
@@ -113,7 +113,7 @@ def bott_samelson_class(rs, omega: AffineElement, seq) -> KClass:
 
 def tensor_class(rs, weights: dict, c: KClass) -> KClass:
     """c acted by sum_mu dim(V_mu) theta_mu for a G-module weight table."""
-    out = KClass.zero()
+    out = KClass()
     for mu, mult in weights.items():
         if mult < 0:
             raise ValueError("weight multiplicities must be nonnegative")

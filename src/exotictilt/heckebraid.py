@@ -148,7 +148,7 @@ def mul_basis_inv(rs, xi: HeckeElement, x: AffineElement, side="right"):
 
 def hecke_mul(rs, xi: HeckeElement, eta: HeckeElement) -> HeckeElement:
     """Product in H."""
-    out = HeckeElement.zero()
+    out = HeckeElement()
     for y, p in eta.terms.items():
         out = out + mul_basis(rs, xi, y, "right").scale(p)
     return out

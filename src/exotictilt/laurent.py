@@ -8,6 +8,8 @@ operations return fresh objects.
 
 from __future__ import annotations
 
+import operator
+
 
 class LaurentPoly:
     __slots__ = ("c", "_hash")
@@ -96,9 +98,14 @@ class LaurentPoly:
 
     # -- queries and transforms ----------------------------------------------
 
-    def __call__(self, x):
-        """Evaluate at v = x (a rational x if there are negative powers)."""
-        return sum(c * x**e for e, c in self.c.items())
+    def __call__(self, x: int) -> int:
+        """Evaluate at the integer v = x.  A negative power needs x = 1 or
+        x = -1, where v^-1 = v; at any other x it raises ValueError."""
+        x = operator.index(x)
+        if x != 1 and x != -1 and self.c and min(self.c) < 0:
+            raise ValueError(f"cannot evaluate negative powers of v at {x}")
+        # every exponent is >= 0 here unless x = x^-1
+        return sum(c * x ** abs(e) for e, c in self.c.items())
 
     def compose_power(self, k: int) -> "LaurentPoly":
         """Substitute v -> v**k (k a nonzero integer, e.g. 2 or -2)."""
@@ -159,10 +166,6 @@ class Combination:
     @classmethod
     def basis(cls, key) -> "Combination":
         return cls({key: ONE})
-
-    @classmethod
-    def zero(cls) -> "Combination":
-        return cls()
 
     def __eq__(self, other):
         return isinstance(other, Combination) and self.terms == other.terms

@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 from functools import lru_cache
 
 import pytest
@@ -10,6 +14,20 @@ from exotictilt import build_root_system
 def get_rs(spec):
     """Shared root systems; their memo tables are idempotent caches."""
     return build_root_system(spec)
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_process(*argv, **kwargs):
+    """Run `python -m exotictilt.cli argv` in a child process that imports
+    this checkout's src, whatever PYTHONPATH the parent has.  Extra keyword
+    arguments go to subprocess.run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "exotictilt.cli", *argv],
+                          capture_output=True, text=True, env=env, **kwargs)
 
 
 @pytest.fixture

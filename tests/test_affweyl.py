@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exotictilt import affweyl as aw
+from exotictilt import build_root_system
 
 from conftest import IRREDUCIBLE_UP_TO_RANK_8, PRODUCTS, get_rs
 
@@ -146,6 +147,55 @@ def test_bruhat_on_finite_weyl_group(a2):
     sizes = sorted(len(v) for v in below.values())
     # A2 Bruhat lower-set sizes: e:1, s:2, s:2, st:4, ts:4, w0:6
     assert sizes == [1, 2, 2, 4, 4, 6]
+
+
+def test_bruhat_on_infinite_dihedral_group():
+    """W_aff^Cox of A1 is the infinite dihedral group, where u < w iff
+    l(u) < l(w).  The walks run past 2000 steps, more than the recursion
+    limit, and every pair on a walk is memoized with the final answer."""
+    rs = build_root_system("A1")    # an empty bruhat memo
+    gens = aw.simple_generators(rs)
+    elements = []
+    for length in (0, 1, 2, 3, 2001, 2002, 2500):
+        for first in (0, 1):
+            x = aw.identity(rs)
+            for i in range(length):
+                x = aw.aff_mul(rs, x, gens[(first + i) % 2])
+            assert aw.aff_length(rs, x) == length
+            elements.append(x)
+
+    def rule(u, w):
+        return u == w or aw.aff_length(rs, u) < aw.aff_length(rs, w)
+
+    for u in elements:
+        for w in elements:
+            assert aw.bruhat_leq(rs, u, w) == rule(u, w)
+    memo = rs.memo("bruhat")
+    assert len(memo) > 2500
+    assert all(res == rule(u, w) for (u, w), res in memo.items())
+
+
+def test_bruhat_memo_matches_subword_property():
+    """u <= w iff u is a subproduct of a reduced word of w.  On the length
+    ball of radius 4 in W_aff^Cox of A2, where a walk to `false` can take
+    several steps, every pair the walks memoize has that answer."""
+    rs = build_root_system("A2")    # an empty bruhat memo
+    gens = aw.simple_generators(rs)
+    ball = {aw.identity(rs)}
+    for _ in range(4):
+        ball |= {aw.aff_mul(rs, x, g) for x in ball for g in gens.values()}
+    below = {}
+    for w in ball:
+        subs = {aw.identity(rs)}
+        for gid in aw.reduced_word(rs, w)[1]:
+            subs |= {aw.aff_mul(rs, x, gens[gid]) for x in subs}
+        below[w] = subs
+    for u in ball:
+        for w in ball:
+            assert aw.bruhat_leq(rs, u, w) == (u in below[w])
+    memo = rs.memo("bruhat")
+    assert any(not res for res in memo.values())
+    assert all(res == (u in below[w]) for (u, w), res in memo.items())
 
 
 def test_w_lambda_examples(a1):

@@ -1,12 +1,11 @@
 import io
 import json
 import resource
-import subprocess
-import sys
 import time
 
 import pytest
 
+from conftest import run_cli_process
 from exotictilt import cli
 
 
@@ -47,6 +46,15 @@ def test_bruhat(capsys):
     assert (code, out) == (0, "true")
     code, out, _ = run_cli(capsys, "bruhat", "A1", "s1", "t[1]")
     assert (code, out) == (0, "false")
+
+
+def test_bruhat_of_long_elements(capsys):
+    """The Bruhat walk takes one step per unit of length: 4000 steps here,
+    more than the interpreter's recursion limit."""
+    code, out, err = run_cli(capsys, "bruhat", "A1", "t[3000]", "t[4000]")
+    assert (code, out, err) == (0, "true", "")
+    code, out, err = run_cli(capsys, "bruhat", "A1", "t[4000]", "t[3000]")
+    assert (code, out, err) == (0, "false", "")
 
 
 def test_hecke_mul_quadratic(capsys):
@@ -192,21 +200,14 @@ def test_parse_errors_exit_2(capsys):
 
 
 def test_console_script_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "exotictilt.cli", "kclass", "bs", "A1",
-         "omega", "s1"],
-        capture_output=True, text=True,
-    )
+    proc = run_cli_process("kclass", "bs", "A1", "omega", "s1")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "m[1] + v*m[-1]"
 
 
 def test_rootinfo_e8_closed_form():
     """|W(E8)| comes from Macdonald's formula, not from enumerating W."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "exotictilt.cli", "rootinfo", "E8", "--json"],
-        capture_output=True, text=True, timeout=30,
-    )
+    proc = run_cli_process("rootinfo", "E8", "--json", timeout=30)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["weyl_order"] == 696729600
 
@@ -324,11 +325,8 @@ def test_cache_bytes_match_streaming_encoder(tmp_path, capsys):
 
 
 def _cache_cli(cache):
-    return subprocess.run(
-        [sys.executable, "-m", "exotictilt.cli", "qanalogue", "A1", "[2]",
-         "[0]", "--cache", str(cache)],
-        capture_output=True, text=True, timeout=30,
-    )
+    return run_cli_process("qanalogue", "A1", "[2]", "[0]",
+                           "--cache", str(cache), timeout=30)
 
 
 @pytest.mark.parametrize("content", [
@@ -429,11 +427,8 @@ def test_verify_negative_radius_exits_2(capsys):
 def test_verify_huge_weyl_group_exits_2_quickly():
     """E7's Weyl group exceeds the enumeration bound; the check trips on
     Macdonald's formula before anything is enumerated."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "exotictilt.cli", "verify", "E7",
-         "--suite", "bernstein"],
-        capture_output=True, text=True, timeout=10,
-    )
+    proc = run_cli_process("verify", "E7", "--suite", "bernstein",
+                           timeout=10)
     assert proc.returncode == 2
     assert "larger than bound" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -452,11 +447,8 @@ def _timed_cli(*argv, timeout):
     512 MB, so a command that allocates far more fails with a traceback
     instead of loading the host."""
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "exotictilt.cli", *argv],
-        capture_output=True, text=True, timeout=timeout,
-        preexec_fn=_cap_address_space,
-    )
+    proc = run_cli_process(*argv, timeout=timeout,
+                           preexec_fn=_cap_address_space)
     return proc, time.perf_counter() - start
 
 

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from exotictilt import HeckeElement, KClass
@@ -29,6 +30,21 @@ def test_compose_power_and_eval():
     assert p.compose_power(-2) == LaurentPoly({-4: 3, 2: 1})
     assert p(1) == 4
     assert (V + VINV)(1) == 2
+
+
+def test_eval_is_exact_int():
+    big = 2**60 + 1
+    for p, x, value in ((VINV, 1, 1), (V + VINV, 1, 2), (VINV, -1, -1),
+                        (LaurentPoly({-1: big}), 1, big),
+                        (LaurentPoly({-3: 2, 2: 5}), -1, 3),
+                        (V * V + ONE, 3, 10), (ZERO, 7, 0)):
+        assert p(x) == value and type(p(x)) is int, (p, x)
+
+
+def test_eval_of_negative_powers_needs_unit_point():
+    for p, x in ((VINV, 2), (LaurentPoly({-1100: 1}), 3), (V + VINV, 0)):
+        with pytest.raises(ValueError):
+            p(x)
 
 
 def test_pairs_and_str():
@@ -74,6 +90,6 @@ def test_combination_coefficient_and_positivity():
     d = c - Combination.basis((1,)).scale(2)
     assert d.coefficient((1,)) == LaurentPoly({0: -1})
     assert not d.is_nonneg()
-    assert c - c == Combination.zero() and not (c - c)
+    assert c - c == Combination() and not (c - c)
     assert hash(c) == hash(Combination({(-1,): V, (1,): ONE}))
-    assert c.scale(0) == Combination.zero()
+    assert c.scale(0) == Combination()
