@@ -226,7 +226,14 @@ def omega_elements(rs: RootSystem) -> dict:
 
 
 def omega_of_weight(rs: RootSystem, lam: Weight) -> AffineElement:
-    return omega_elements(rs)[coset_class_key(rs, lam)]
+    """The length-0 element of W_aff in the Z.Phi-class of lam, without
+    building Omega: the length-0 part of t_lam', lam' = lam reduced
+    coordinatewise mod det A, which keeps the class since det A * omega_i
+    lies in Z.Phi."""
+    if not any(coset_class_key(rs, lam)):
+        return identity(rs)
+    det = rs.cartan_det
+    return reduced_word(rs, t_lambda(rs, tuple([a % det for a in lam])))[0]
 
 
 # ---------------------------------------------------------------------------

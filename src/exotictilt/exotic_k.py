@@ -5,13 +5,18 @@ by weights; m_0 is the class of the structure sheaf and the grading shift <1>
 acts as multiplication by v.  H acts on the right; on basis vectors, with
 u = w_lam * s and mu the translation index of u:
 
-    m_lam . T_s = v^-1 m_lam                       if mu == lam
-                = m_mu                             if len(u) = len(w_lam) + 1
-                = m_mu + (v^-1 - v) m_lam          otherwise
+    m_lam . T_s    = v^-1 m_lam                    if mu == lam
+                   = m_mu                          if len(u) = len(w_lam) + 1
+                   = m_mu + (v^-1 - v) m_lam       otherwise
+    m_lam . T_s^-1 = v m_lam                       if mu == lam
+                   = m_mu + (v - v^-1) m_lam       if len(u) = len(w_lam) + 1
+                   = m_mu                          otherwise
     m_lam . T_omega = m_mu   (mu the translation index of w_lam * omega)
 
-The first case happens exactly when u is not minimal in its coset; the
-``anchors`` suite of ``verify`` checks this case split against w_lambda.
+The T_s^-1 rows are the T_s rows plus (v - v^-1) m_lam, from
+T_s^-1 = T_s + (v - v^-1).  The first case happens exactly when u is not
+minimal in its coset; the ``anchors`` suite of ``verify`` checks this case
+split against w_lambda.
 Derived classes: nabla: m_lam itself; delta: m_0 acted by the inverse of
 T_{w_lam^{-1}}; line bundles: m_0 . theta_lam; Bott-Samelson tilting classes:
 m_0 . T_omega (T_{s_r}+v) ... (T_{s_1}+v), the innermost factor acting first.
@@ -19,7 +24,8 @@ m_0 . T_omega (T_{s_r}+v) ... (T_{s_1}+v), the innermost factor acting first.
 
 from __future__ import annotations
 
-from .laurent import Combination, LaurentPoly, ONE, VINV, VINV_MINUS_V
+from .laurent import (Combination, LaurentPoly, ONE, V, VINV, VINV_MINUS_V,
+                      V_MINUS_VINV)
 from .rootdata import RootSystem, Weight, memoized
 from . import affweyl
 from .heckebraid import BraidWord, act, theta_letters, word_letters
@@ -38,16 +44,18 @@ def m0(rs: RootSystem) -> KClass:
 
 
 @memoized("k_gen_action")
-def _basis_gen_action(rs, lam: Weight, gid: int):
-    """m_lam . T_gid as a tuple of (weight, poly)."""
+def _basis_gen_action(rs, lam: Weight, gid: int, exp: int):
+    """m_lam . T_gid^exp (exp = +-1) as a tuple of (weight, poly)."""
     u, down = gen_step(rs, affweyl.w_lambda(rs, lam)[0], gid)
     mu = u.t
     if mu == lam:
         # u = (finite simple) * w_lam is not minimal in W t_lam
-        return ((lam, VINV),)
-    if not down:
-        return ((mu, ONE),)
-    return ((mu, ONE), (lam, VINV_MINUS_V))
+        return ((lam, VINV if exp == 1 else V),)
+    if down and exp == 1:
+        return ((mu, ONE), (lam, VINV_MINUS_V))
+    if not down and exp == -1:
+        return ((mu, ONE), (lam, V_MINUS_VINV))
+    return ((mu, ONE),)
 
 
 def _basis_omega_action(rs, lam: Weight, omega: AffineElement) -> Weight:

@@ -86,9 +86,17 @@ def word_letters(rs, x: AffineElement, inverse=False) -> tuple:
 
 def act(rs, c: Combination, letters, step, move) -> Combination:
     """c acted on by the letters in order, in the module that step and move
-    describe: step(rs, key, gid) is key . T_s as a tuple of (key, poly), and
-    move(rs, key, omega) is the key of key . T_omega.  A letter of exponent -1
-    acts by T_s^{-1} = T_s + (v - v^-1), or by T_{omega^{-1}}."""
+    describe: step(rs, key, gid, exp) is key . T_s^exp as a tuple of
+    (key, poly), and move(rs, key, omega) is the key of key . T_omega.  The
+    step gets the sign of the letter, so T_s^{-1} = T_s + (v - v^-1) is
+    applied in closed form and no term is built that cancels.  In the
+    regular modules, with a descent when len(xs) < len(x):
+
+        letter    descent                    no descent
+        T_s       T_{xs} + (v^-1 - v) T_x    T_{xs}
+        T_s^-1    T_{xs}                     T_{xs} + (v - v^-1) T_x
+
+    A letter T_omega^{-1} acts as T_{omega^{-1}}."""
     terms = c.terms
     for kind, payload, exp in letters:
         gen = kind == "s"
@@ -97,21 +105,22 @@ def act(rs, c: Combination, letters, step, move) -> Combination:
         out = {}
         for key, p in terms.items():
             if gen:
-                for k, q in step(rs, key, payload):
+                for k, q in step(rs, key, payload, exp):
                     _accumulate(out, k, p if q is ONE else p * q)
-                if exp == -1:
-                    _accumulate(out, key, p * V_MINUS_VINV)
             else:
                 _accumulate(out, move(rs, key, payload), p)
         terms = out
     return Combination(terms)
 
 
-def _step(rs, x, gid, side):
-    """T_x T_s (or T_s T_x for side='left')."""
+def _step(rs, x, gid, exp, side):
+    """T_x T_s^exp (or T_s^exp T_x for side='left'), exp = +-1, by the
+    table in act."""
     y, down = gen_step(rs, x, gid, side)
-    if down:
+    if down and exp == 1:
         return ((y, ONE), (x, VINV_MINUS_V))
+    if not down and exp == -1:
+        return ((y, ONE), (x, V_MINUS_VINV))
     return ((y, ONE),)
 
 

@@ -371,7 +371,9 @@ class RootSystem:
         return self.dominant_rep(lam)[0]
 
     def delta(self, lam: Weight) -> int:
-        return self.dominant_rep(lam)[2]
+        """Length of the minimal v with v(lam) dominant: the number of
+        positive roots alpha with <lam, alpha_vee> < 0."""
+        return sum([sum(map(mul, row, lam)) < 0 for row in self.coroot_rows])
 
     # -- Weyl group --------------------------------------------------------------
 

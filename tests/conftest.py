@@ -19,15 +19,20 @@ def get_rs(spec):
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli_process(*argv, **kwargs):
-    """Run `python -m exotictilt.cli argv` in a child process that imports
-    this checkout's src, whatever PYTHONPATH the parent has.  Extra keyword
-    arguments go to subprocess.run."""
+def run_python(*argv, **kwargs):
+    """Run `python argv` in a child process that imports this checkout's
+    src, whatever PYTHONPATH the parent has.  Extra keyword arguments go to
+    subprocess.run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "exotictilt.cli", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, **kwargs)
+
+
+def run_cli_process(*argv, **kwargs):
+    """Run `python -m exotictilt.cli argv` through run_python."""
+    return run_python("-m", "exotictilt.cli", *argv, **kwargs)
 
 
 @pytest.fixture

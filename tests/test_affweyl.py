@@ -107,6 +107,24 @@ def test_omega_orders():
         assert len(aw.omega_elements(get_rs(spec))) == n
 
 
+@pytest.mark.parametrize("spec", [
+    "A1", "A2", "A3", "B2", "C3", "D4", "G2", "A1xA2", "B3xC2"])
+def test_omega_of_weight_matches_the_omega_table(spec):
+    """One length-0 element per call, without building Omega, equal to the
+    table entry of the weight's class, also for huge coordinates."""
+    rs = build_root_system(spec)
+    radius = 2 if rs.rank <= 3 else 1
+    far = (10**9,) + (0,) * (rs.rank - 1)
+    got = {}
+    for lam in aw.weight_box(rs, radius):
+        for mu in (lam, rs.add(lam, far)):
+            got[mu] = aw.omega_of_weight(rs, mu)
+    assert not rs.memo("omega_elements")
+    table = aw.omega_elements(rs)
+    for mu, om in got.items():
+        assert om == table[aw.coset_class_key(rs, mu)], mu
+
+
 def test_reduced_word_examples(a1):
     assert aw.reduced_word(a1, aw.identity(a1)) == (aw.identity(a1), ())
     om, word = aw.reduced_word(a1, aw.t_lambda(a1, (1,)))

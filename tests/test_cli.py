@@ -205,6 +205,14 @@ def test_console_script_installed():
     assert proc.stdout.strip() == "m[1] + v*m[-1]"
 
 
+def test_bott_samelson_with_a_huge_omega_weight():
+    """o[...] is reduced mod det A before its length-0 part is taken."""
+    proc = run_cli_process("kclass", "bs", "A2", "o[1000000000,0]", "s1",
+                           timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(v + v^-1)*m[0,-1]"
+
+
 def test_rootinfo_e8_closed_form():
     """|W(E8)| comes from Macdonald's formula, not from enumerating W."""
     proc = run_cli_process("rootinfo", "E8", "--json", timeout=30)

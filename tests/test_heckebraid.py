@@ -197,6 +197,43 @@ def test_word_sweeps_invert_on_both_sides(data):
     assert ek.act_hecke(rs, ek.act_hecke(rs, c, word), word.inverse()) == c
 
 
+def _module(rs, name):
+    """(step, move, key strategy) of one module of the sweep."""
+    if name == "K":
+        keys = st.tuples(*[st.integers(-2, 2)] * rs.rank)
+        return ek._basis_gen_action, ek._basis_omega_action, keys
+    keys = st.builds(lambda w, t: aw.AffineElement(w.matrix, t),
+                     st.sampled_from(rs.weyl_group()),
+                     st.tuples(*[st.integers(-1, 1)] * rs.rank))
+    return (*hb._SIDES[name], keys)
+
+
+POLYS = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3).filter(bool),
+                        min_size=1, max_size=3).map(LaurentPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inverse_letters_match_the_quadratic_relation(data):
+    """The closed-form T_s^{-1} steps of the right, left and K-modules
+    against T_s^{-1} = T_s + (v - v^-1), and T_s, T_s^{-1} undoing each
+    other in either order."""
+    rs = get_rs(data.draw(st.sampled_from(["A1", "A2", "B2", "G2"])))
+    module = data.draw(st.sampled_from(["right", "left", "K"]))
+    step, move, keys = _module(rs, module)
+    terms = data.draw(st.dictionaries(keys, POLYS, min_size=1, max_size=4))
+    if module == "K":   # at m_0 every finite s is not minimal
+        terms[rs.zero()] = data.draw(POLYS)
+    c = hb.Combination(terms)
+    for gid in aw.generator_order(rs):
+        s, sinv = ("s", gid, 1), ("s", gid, -1)
+        once = hb.act(rs, c, (s,), step, move)
+        assert hb.act(rs, c, (sinv,), step, move) == \
+            once + c.scale(V_MINUS_VINV), (module, gid)
+        assert hb.act(rs, c, (s, sinv), step, move) == c, (module, gid)
+        assert hb.act(rs, c, (sinv, s), step, move) == c, (module, gid)
+
+
 def test_verify_bernstein_passes(a1, a2):
     assert hb.verify_bernstein(a1, 2).passed
     assert hb.verify_bernstein(a2, 1).passed

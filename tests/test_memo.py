@@ -21,8 +21,8 @@ CALLS = {
     "omega_elements": (lambda rs: aw.omega_elements(rs), ()),
     "w_lambda": (lambda rs: aw.w_lambda(rs, (1, -2)), (1, -2)),
     "theta": (lambda rs: hb.theta(rs, (1, -1)), (1, -1)),
-    "k_gen_action": (lambda rs: ek._basis_gen_action(rs, (1, -2), 2),
-                     ((1, -2), 2)),
+    "k_gen_action": (lambda rs: ek._basis_gen_action(rs, (1, -2), 2, 1),
+                     ((1, -2), 2, 1)),
     "delta_class": (lambda rs: ek.delta_class(rs, (-1, 1)), (-1, 1)),
     "line_bundle": (lambda rs: ek.line_bundle_class(rs, (2, -1)), (2, -1)),
     "kostant": (lambda rs: charring.kostant_partition(rs, (2, 2)), (2, 2)),

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -330,3 +331,19 @@ def test_omega_elements_match_the_weight_walk_oracle_in_order(spec):
     new, old = aw.omega_elements(rs), omega_elements_oracle(rs)
     assert list(new.items()) == list(old.items())
     assert all(aw.aff_length(rs, om) == 0 for om in new.values())
+
+
+@pytest.mark.parametrize("spec", [
+    "A1", "A2", "A3", "B2", "C3", "G2", "D4", "A1xA2"])
+def test_delta_root_count_matches_the_reflection_walk(spec):
+    rs = build_root_system(spec)
+    for lam in itertools.product(range(-3, 4), repeat=rs.rank):
+        assert rs.delta(lam) == rs.dominant_rep(lam)[2], lam
+
+
+def test_delta_root_count_matches_the_reflection_walk_in_e8():
+    rs = build_root_system("E8")
+    rng = random.Random(0)
+    for _ in range(200):
+        lam = tuple(rng.randint(-4, 4) for _ in range(rs.rank))
+        assert rs.delta(lam) == rs.dominant_rep(lam)[2], lam
