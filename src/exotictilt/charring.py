@@ -49,11 +49,6 @@ class CharacterMultiset:
     def as_dict(self) -> dict:
         return dict(self.mults)
 
-    def relabel(self, basis_kind: str) -> "CharacterMultiset":
-        """Reinterpret in the other filtration basis (valid character-wise in
-        characteristic zero)."""
-        return CharacterMultiset(self.mults, basis_kind)
-
 
 # ---------------------------------------------------------------------------
 # Kostant partition function
@@ -294,10 +289,6 @@ def module_weights(rs: RootSystem, lam: Weight) -> dict:
     """Full weight table weight -> multiplicity of the Weyl module M(lam)."""
     return {w: m for mu, m in _dominant_mult_table(rs, lam).items()
             for w in rs.weyl_orbit(mu)}
-
-
-def weyl_dim(rs: RootSystem, lam: Weight) -> int:
-    return sum(module_weights(rs, lam).values())
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,7 @@ def cmd_rootinfo(rs, args):
         "cartan_matrix": [list(r) for r in rs.cartan_matrix],
         "positive_roots": pos,
         "weyl_order": rs.weyl_order(),
-        "omega_order": len(affweyl.omega_elements(rs)),
+        "omega_order": rs.cartan_det,   # |Omega| = |X / Z.Phi| = det A
         "components": comps,
     }
     text = (

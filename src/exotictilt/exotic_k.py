@@ -25,7 +25,7 @@ m_0 . T_omega (T_{s_r}+v) ... (T_{s_1}+v), the innermost factor acting first.
 from __future__ import annotations
 
 from .laurent import (Combination, LaurentPoly, ONE, V, VINV, VINV_MINUS_V,
-                      V_MINUS_VINV)
+                      V_MINUS_VINV, _accumulate)
 from .rootdata import RootSystem, Weight, memoized
 from . import affweyl
 from .heckebraid import BraidWord, act, theta_letters, word_letters
@@ -121,10 +121,11 @@ def bott_samelson_class(rs, omega: AffineElement, seq) -> KClass:
 
 def tensor_class(rs, weights: dict, c: KClass) -> KClass:
     """c acted by sum_mu dim(V_mu) theta_mu for a G-module weight table."""
-    out = KClass()
+    out = {}
     for mu, mult in weights.items():
         if mult < 0:
             raise ValueError("weight multiplicities must be nonnegative")
         if mult:
-            out = out + _act(rs, c, theta_letters(rs, mu)).scale(mult)
-    return out
+            for k, p in _act(rs, c, theta_letters(rs, mu)).terms.items():
+                _accumulate(out, k, p if mult == 1 else p * mult)
+    return KClass(out)

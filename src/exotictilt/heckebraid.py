@@ -25,7 +25,7 @@ from functools import partial
 from .laurent import Combination, ONE, VINV_MINUS_V, V_MINUS_VINV, _accumulate
 from .rootdata import RootSystem, Weight, memoized
 from . import affweyl
-from .affweyl import AffineElement, aff_length, aff_mul, gen_step
+from .affweyl import AffineElement, aff_mul, gen_step
 
 
 HeckeElement = Combination   # linear combinations of basis elements T_x
@@ -197,92 +197,3 @@ def theta_letters(rs, lam: Weight) -> tuple:
     mu, nu = theta_decomposition(rs, lam)
     return (word_letters(rs, affweyl.t_lambda(rs, mu))
             + word_letters(rs, affweyl.t_lambda(rs, nu), inverse=True))
-
-
-# ---------------------------------------------------------------------------
-# Identity verification
-
-
-@dataclass
-class Report:
-    name: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def check(self, ok: bool, detail: str):
-        self.checked += 1
-        if not ok:
-            self.failures.append(detail)
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        out = f"{self.name}: {status} ({self.checked} checks)"
-        for f in self.failures[:5]:
-            out += f"\n  counterexample: {f}"
-        if len(self.failures) > 5:
-            out += f"\n  ... {len(self.failures) - 5} more"
-        return out
-
-
-def verify_bernstein(rs, box_radius: int) -> Report:
-    """Check the Bernstein presentation relations (1)-(4) inside H."""
-    report = Report(f"bernstein[{rs.spec}, radius {box_radius}]")
-    box = affweyl.weight_box(rs, box_radius)
-
-    # (1) T_u T_w = T_{uw} for finite u, w with additive lengths
-    welts = rs.weyl_group()
-    for u in welts:
-        au = AffineElement(u.matrix, rs.zero())
-        for w in welts:
-            aw = AffineElement(w.matrix, rs.zero())
-            uw = aff_mul(rs, au, aw)
-            if aff_length(rs, uw) != u.length + w.length:
-                continue
-            lhs = mul_basis(rs, HeckeElement.basis(au), aw, "right")
-            report.check(
-                lhs == HeckeElement.basis(uw),
-                f"(1) fails at lengths {u.length},{w.length}",
-            )
-
-    # (2) theta_lam theta_mu = theta_{lam+mu}
-    for lam in box:
-        for mu in box:
-            lhs = mul_theta(rs, theta(rs, lam), mu)
-            report.check(
-                lhs == theta(rs, rs.add(lam, mu)),
-                f"(2) fails at lam={lam}, mu={mu}",
-            )
-
-    # (3) and (4) per simple root
-    for i in range(rs.rank):
-        alpha = rs.simple_roots[i]
-        for lam in box:
-            pair = lam[i]
-            if pair == 0:
-                lhs = mul_gen(rs, theta(rs, lam), i + 1, "left")
-                rhs = mul_gen(rs, theta(rs, lam), i + 1, "right")
-                report.check(lhs == rhs, f"(3) fails at lam={lam}, i={i}")
-            elif pair == 1:
-                inner = theta(rs, rs.sub(lam, alpha))
-                rhs = mul_gen(rs, mul_gen(rs, inner, i + 1, "right"), i + 1, "left")
-                report.check(theta(rs, lam) == rhs,
-                             f"(4) fails at lam={lam}, i={i}")
-    return report
-
-
-def verify_t_translation_conjugation(rs, box_radius: int) -> Report:
-    """Check T_{t_lam} = T_{w^-1} theta_{w lam} (T_{w^-1})^{-1} for the
-    minimal w making w(lam) dominant."""
-    report = Report(f"t-conjugation[{rs.spec}, radius {box_radius}]")
-    for lam in affweyl.weight_box(rs, box_radius):
-        dom, v, _ = rs.dominant_rep(lam)
-        vinv = AffineElement(rs.mat_inv(v.matrix), rs.zero())
-        rhs = mul_basis_inv(rs, theta(rs, dom), vinv, "right")
-        rhs = mul_basis(rs, rhs, vinv, "left")
-        lhs = HeckeElement.basis(affweyl.t_lambda(rs, lam))
-        report.check(lhs == rhs, f"fails at lam={lam}")
-    return report

@@ -107,6 +107,12 @@ class LaurentPoly:
         # every exponent is >= 0 here unless x = x^-1
         return sum(c * x ** abs(e) for e, c in self.c.items())
 
+    def shift(self, k: int) -> "LaurentPoly":
+        """v**k * self."""
+        res = LaurentPoly()
+        res.c = {e + k: c for e, c in self.c.items()}
+        return res
+
     def compose_power(self, k: int) -> "LaurentPoly":
         """Substitute v -> v**k (k a nonzero integer, e.g. 2 or -2)."""
         return LaurentPoly({e * k: c for e, c in self.c.items()})

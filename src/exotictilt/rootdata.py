@@ -403,12 +403,29 @@ class RootSystem:
                        lambda m: [self.mat_mul(m, g) for g in gens])
         return [WeylElement(m, self.weyl_length(m)) for m in mats]
 
-    def weyl_orbit(self, lam: Weight):
-        def reflect(mu):
+    def orbit_levels(self, d: Weight) -> dict:
+        """{mu: delta(mu)} over the W-orbit of the dominant weight d.
+
+        A step mu -> s_i(mu) with mu_i > 0 adds exactly one inversion, and
+        every orbit weight is reached from d by such steps, so the
+        breadth-first level of a weight is delta(mu).  From a non-dominant
+        start these steps would miss part of the orbit."""
+        if not self.is_dominant(d):
+            raise ValueError("orbit_levels needs a dominant weight")
+        levels = {d: 0}
+        order = [d]
+        for mu in order:
+            k = levels[mu] + 1
             for c, alpha in zip(mu, self.simple_roots):
-                if c:
-                    yield tuple([a - c * r for a, r in zip(mu, alpha)])
-        return sorted(closure([lam], reflect))
+                if c > 0:
+                    nu = tuple([a - c * r for a, r in zip(mu, alpha)])
+                    if nu not in levels:
+                        levels[nu] = k
+                        order.append(nu)
+        return levels
+
+    def weyl_orbit(self, lam: Weight):
+        return sorted(self.orbit_levels(self.dom(lam)))
 
     def weyl_order(self) -> int:
         """|W| by Macdonald's formula prod_{alpha>0} (ht alpha + 1) / ht alpha,

@@ -52,7 +52,7 @@ def std_mult(rs: RootSystem, cm: CharacterMultiset, mu: Weight) -> LaurentPoly:
     if cm.basis_kind != WEYL_BASIS:
         raise ValueError("std_mult needs a Weyl-basis character multiset")
     mu = tuple(mu)
-    return _q_sum(rs, cm.mults, rs.dom(mu), -2) * LaurentPoly.v(-rs.delta(mu))
+    return _q_sum(rs, cm.mults, rs.dom(mu), -2).shift(-rs.delta(mu))
 
 
 def costd_mult(rs: RootSystem, cm: CharacterMultiset, mu: Weight) -> LaurentPoly:
@@ -63,7 +63,7 @@ def costd_mult(rs: RootSystem, cm: CharacterMultiset, mu: Weight) -> LaurentPoly
     mu = tuple(mu)
     # the formula sums (V : N(-w_0 nu)) M_nu^{dom(-mu)}; re-index nu -> -w_0 nu
     pairs = [(rs.minus_w0(nu), count) for nu, count in cm.mults]
-    return _q_sum(rs, pairs, rs.dom(rs.neg(mu)), 2) * LaurentPoly.v(rs.delta(mu))
+    return _q_sum(rs, pairs, rs.dom(rs.neg(mu)), 2).shift(rs.delta(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,8 @@ def costandard_expansion(rs: RootSystem, cm: CharacterMultiset) -> KClass:
 
     costd_mult depends on mu only through dom(-mu) = -w_0 dom(mu) and the
     shift v^{delta(mu)}, so there is one q-analogue sum per dominant weight d
-    below the support, spread over the W-orbit of d."""
+    below the support, spread over the W-orbit of d with delta read off the
+    orbit walk."""
     pairs = [(rs.minus_w0(nu), count) for nu, count in cm.mults]
     doms = set()
     for nu, _ in cm.mults:
@@ -85,8 +86,8 @@ def costandard_expansion(rs: RootSystem, cm: CharacterMultiset) -> KClass:
     for d in sorted(doms):
         p = _q_sum(rs, pairs, rs.minus_w0(d), 2)
         if p:
-            for mu in rs.weyl_orbit(d):
-                terms[mu] = p * LaurentPoly.v(rs.delta(mu))
+            for mu, k in rs.orbit_levels(d).items():
+                terms[mu] = p.shift(k)
     return KClass(terms)
 
 

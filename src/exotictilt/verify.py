@@ -7,14 +7,17 @@ report does.  Randomized checks take an explicit seed.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from operator import mul
 
 from .laurent import LaurentPoly, ONE, VINV, V_MINUS_VINV
 from .rootdata import RootSystem, closure
 from . import affweyl, exotic_k, heckebraid, rootdata, tiltmult
 from .charring import CharacterMultiset, WEYL_BASIS
-from .affweyl import aff_length, aff_mul, simple_generators, t_lambda
-from .heckebraid import BraidWord, HeckeElement, Report
+from .affweyl import (AffineElement, aff_length, aff_mul, simple_generators,
+                      t_lambda)
+from .heckebraid import (BraidWord, HeckeElement, mul_basis, mul_basis_inv,
+                         mul_gen, mul_theta, theta)
 
 # Budgets on the weight box (2 radius + 1)^rank of a run, checked before any
 # suite starts.  BOX_BOUND caps the weights, which every suite walks: it
@@ -39,10 +42,97 @@ BERNSTEIN_BOUND = 2 * 10**5
 BERNSTEIN_PAIR_BOUND = 6 * 10**5
 
 
+@dataclass
+class Report:
+    """Checks made by one suite, and the details of those that failed."""
+
+    name: str
+    checked: int = 0
+    failures: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def check(self, ok: bool, detail: str):
+        self.checked += 1
+        if not ok:
+            self.failures.append(detail)
+
+    def summary(self) -> str:
+        status = "pass" if self.passed else "FAIL"
+        out = f"{self.name}: {status} ({self.checked} checks)"
+        for f in self.failures[:5]:
+            out += f"\n  counterexample: {f}"
+        if len(self.failures) > 5:
+            out += f"\n  ... {len(self.failures) - 5} more"
+        return out
+
+
+def verify_bernstein(rs, box_radius: int) -> Report:
+    """Check the Bernstein presentation relations (1)-(4) inside H."""
+    report = Report(f"bernstein[{rs.spec}, radius {box_radius}]")
+    box = affweyl.weight_box(rs, box_radius)
+
+    # (1) T_u T_w = T_{uw} for finite u, w with additive lengths
+    welts = rs.weyl_group()
+    for u in welts:
+        au = AffineElement(u.matrix, rs.zero())
+        for w in welts:
+            aw = AffineElement(w.matrix, rs.zero())
+            uw = aff_mul(rs, au, aw)
+            if aff_length(rs, uw) != u.length + w.length:
+                continue
+            lhs = mul_basis(rs, HeckeElement.basis(au), aw, "right")
+            report.check(
+                lhs == HeckeElement.basis(uw),
+                f"(1) fails at lengths {u.length},{w.length}",
+            )
+
+    # (2) theta_lam theta_mu = theta_{lam+mu}
+    for lam in box:
+        for mu in box:
+            lhs = mul_theta(rs, theta(rs, lam), mu)
+            report.check(
+                lhs == theta(rs, rs.add(lam, mu)),
+                f"(2) fails at lam={lam}, mu={mu}",
+            )
+
+    # (3) and (4) per simple root
+    for i in range(rs.rank):
+        alpha = rs.simple_roots[i]
+        for lam in box:
+            pair = lam[i]
+            if pair == 0:
+                lhs = mul_gen(rs, theta(rs, lam), i + 1, "left")
+                rhs = mul_gen(rs, theta(rs, lam), i + 1, "right")
+                report.check(lhs == rhs, f"(3) fails at lam={lam}, i={i}")
+            elif pair == 1:
+                inner = theta(rs, rs.sub(lam, alpha))
+                rhs = mul_gen(rs, mul_gen(rs, inner, i + 1, "right"), i + 1, "left")
+                report.check(theta(rs, lam) == rhs,
+                             f"(4) fails at lam={lam}, i={i}")
+    return report
+
+
+def verify_t_translation_conjugation(rs, box_radius: int) -> Report:
+    """Check T_{t_lam} = T_{w^-1} theta_{w lam} (T_{w^-1})^{-1} for the
+    minimal w making w(lam) dominant."""
+    report = Report(f"t-conjugation[{rs.spec}, radius {box_radius}]")
+    for lam in affweyl.weight_box(rs, box_radius):
+        dom, v, _ = rs.dominant_rep(lam)
+        vinv = AffineElement(rs.mat_inv(v.matrix), rs.zero())
+        rhs = mul_basis_inv(rs, theta(rs, dom), vinv, "right")
+        rhs = mul_basis(rs, rhs, vinv, "left")
+        lhs = HeckeElement.basis(affweyl.t_lambda(rs, lam))
+        report.check(lhs == rhs, f"fails at lam={lam}")
+    return report
+
+
 def suite_bernstein(rs: RootSystem, radius: int, seed: int = 0):
     return [
-        heckebraid.verify_bernstein(rs, min(radius, 2)),
-        heckebraid.verify_t_translation_conjugation(rs, radius),
+        verify_bernstein(rs, min(radius, 2)),
+        verify_t_translation_conjugation(rs, radius),
     ]
 
 
@@ -335,7 +425,7 @@ def _bernstein_work(rs: RootSystem, radius: int) -> int:
     for lam in box:
         if terms * letters > BERNSTEIN_BOUND:
             break
-        terms += len(heckebraid.theta(rs, lam).terms) - 1
+        terms += len(theta(rs, lam).terms) - 1
     return terms * letters
 
 

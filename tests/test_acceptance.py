@@ -9,7 +9,7 @@ import random
 import time
 
 from exotictilt import affweyl as aw, charring as ch, exotic_k as ek, \
-    heckebraid as hb, tiltmult as tm
+    heckebraid as hb, tiltmult as tm, verify
 from exotictilt.charring import CharacterMultiset
 from exotictilt.exotic_k import KClass
 from exotictilt.laurent import LaurentPoly, ONE, VINV_MINUS_V
@@ -76,14 +76,14 @@ def test_criterion_01_hecke_relations():
 def test_criterion_02_bernstein_presentation():
     with timer("criterion 2 (Bernstein relations, radius 2)", 30.0):
         for spec in ["A1", "A2", "B2"]:
-            rep = hb.verify_bernstein(get_rs(spec), 2)
+            rep = verify.verify_bernstein(get_rs(spec), 2)
             assert rep.passed, rep.summary()
 
 
 def test_criterion_03_translation_conjugation():
     with timer("criterion 3 (T_t conjugation identity, radius 3)", 30.0):
         for spec in ["A1", "A2", "B2"]:
-            rep = hb.verify_t_translation_conjugation(get_rs(spec), 3)
+            rep = verify.verify_t_translation_conjugation(get_rs(spec), 3)
             assert rep.passed, rep.summary()
 
 

@@ -108,6 +108,15 @@ def test_omega_orders():
 
 
 @pytest.mark.parametrize("spec", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "C3", "C4", "D4", "D5", "E6", "E7",
+    "E8", "F4", "G2", "A1xA1xA1", "B3xC2"])
+def test_omega_order_is_the_cartan_determinant(spec):
+    """|Omega| = |X / Z.Phi| = det A, the figure rootinfo reports."""
+    rs = build_root_system(spec)
+    assert len(aw.omega_elements(rs)) == rs.cartan_det
+
+
+@pytest.mark.parametrize("spec", [
     "A1", "A2", "A3", "B2", "C3", "D4", "G2", "A1xA2", "B3xC2"])
 def test_omega_of_weight_matches_the_omega_table(spec):
     """One length-0 element per call, without building Omega, equal to the

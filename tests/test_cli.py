@@ -6,7 +6,7 @@ import time
 import pytest
 
 from conftest import run_cli_process
-from exotictilt import cli
+from exotictilt import affweyl, build_root_system, cli
 
 
 def run_cli(capsys, *argv):
@@ -19,6 +19,14 @@ def test_rootinfo(capsys):
     code, out, _ = run_cli(capsys, "rootinfo", "A2")
     assert code == 0
     assert "rank 2" in out and "|W| = 6" in out and "|Omega| = 3" in out
+
+
+def test_rootinfo_omega_order_counts_the_omega_group(capsys):
+    for spec in ("A3", "D4", "E7", "A1xA1xA1", "B3xC2"):
+        code, out, _ = run_cli(capsys, "rootinfo", spec, "--json")
+        assert code == 0
+        rs = build_root_system(spec)
+        assert json.loads(out)["omega_order"] == len(affweyl.omega_elements(rs))
 
 
 def test_unknown_spec_exits_2(capsys):
@@ -140,7 +148,7 @@ def test_verify_exit_codes(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "A1", "--suite", "order",
                            "--radius", "2")
     assert code == 0 and "pass" in out
-    from exotictilt.heckebraid import Report
+    from exotictilt.verify import Report
 
     def failing(rs, which, radius, seed=0):
         rep = Report("rigged")

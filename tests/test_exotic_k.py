@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from exotictilt import affweyl as aw, exotic_k as ek, heckebraid as hb
@@ -90,6 +91,34 @@ def test_tensor_class_examples(a1):
     expect = KClass.basis((2,)) + ek.m0(a1).scale(LaurentPoly({2: 1})) + \
         KClass.basis((-2,)).scale(V)
     assert adj == expect
+
+
+def tensor_class_oracle(rs, weights, c):
+    """The per-weight sum: one Combination added per weight, each theta
+    image scaled by its multiplicity."""
+    out = KClass()
+    for mu, mult in weights.items():
+        if mult < 0:
+            raise ValueError("weight multiplicities must be nonnegative")
+        if mult:
+            out = out + ek._act(rs, c, hb.theta_letters(rs, mu)).scale(mult)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2"])
+def test_tensor_class_matches_the_per_weight_sum(spec):
+    rs = get_rs(spec)
+    rng = random.Random(5)
+    box = aw.weight_box(rs, 2)
+    starts = [ek.m0(rs), ek.delta_class(rs, box[0]),
+              ek.line_bundle_class(rs, box[-1]) + KClass.basis(box[3])]
+    for c in starts:
+        for _ in range(6):
+            weights = {mu: rng.choice((0, 1, 3)) for mu in rng.sample(box, 5)}
+            assert ek.tensor_class(rs, weights, c) == \
+                tensor_class_oracle(rs, weights, c), (spec, weights)
+    with pytest.raises(ValueError):
+        ek.tensor_class(rs, {rs.zero(): 1, rs.rho: -1}, starts[0])
 
 
 def test_spherical_character():

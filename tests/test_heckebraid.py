@@ -2,7 +2,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from exotictilt import affweyl as aw, exotic_k as ek, heckebraid as hb
+from exotictilt import affweyl as aw, exotic_k as ek, heckebraid as hb, verify
 from exotictilt.laurent import LaurentPoly, ONE, V_MINUS_VINV, VINV_MINUS_V
 
 from conftest import get_rs
@@ -235,18 +235,18 @@ def test_inverse_letters_match_the_quadratic_relation(data):
 
 
 def test_verify_bernstein_passes(a1, a2):
-    assert hb.verify_bernstein(a1, 2).passed
-    assert hb.verify_bernstein(a2, 1).passed
+    assert verify.verify_bernstein(a1, 2).passed
+    assert verify.verify_bernstein(a2, 1).passed
 
 
 def test_verify_t_translation_passes(a1, a2, b2):
     for rs in (a1, a2, b2):
-        rep = hb.verify_t_translation_conjugation(rs, 2)
+        rep = verify.verify_t_translation_conjugation(rs, 2)
         assert rep.passed, rep.summary()
 
 
 def test_report_failure_carries_counterexample():
-    rep = hb.Report("demo")
+    rep = verify.Report("demo")
     rep.check(True, "nope")
     rep.check(False, "lam=(1,)")
     assert not rep.passed and rep.checked == 2

@@ -72,6 +72,12 @@ def test_ring_axioms(p, q, r):
     assert p * ONE == p
 
 
+@given(polys, st.integers(-6, 6))
+def test_shift_is_multiplication_by_a_power_of_v(p, k):
+    assert p.shift(k) == p * LaurentPoly.v(k)
+    assert p.shift(0) == p and ZERO.shift(k) == ZERO
+
+
 @given(polys)
 def test_no_zero_coefficients_stored(p):
     assert all(c != 0 for c in p.c.values())

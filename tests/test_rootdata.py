@@ -77,6 +77,16 @@ def omega_elements_oracle(rs):
             for key, lam in reps.items()}
 
 
+def weyl_orbit_oracle(rs, lam):
+    """The W-orbit of any weight lam, sorted: the closure of lam under
+    every simple reflection that moves a weight, up or down."""
+    def reflect(mu):
+        for c, alpha in zip(mu, rs.simple_roots):
+            if c:
+                yield tuple([a - c * r for a, r in zip(mu, alpha)])
+    return sorted(closure([lam], reflect))
+
+
 def conv_interior(rs, lam):
     orbit = set(rs.weyl_orbit(lam))
     return [mu for mu in conv_set(rs, lam) if mu not in orbit]
@@ -347,3 +357,25 @@ def test_delta_root_count_matches_the_reflection_walk_in_e8():
     for _ in range(200):
         lam = tuple(rng.randint(-4, 4) for _ in range(rs.rank))
         assert rs.delta(lam) == rs.dominant_rep(lam)[2], lam
+
+
+ORBIT_BOXES = {"A1": 3, "A2": 3, "A3": 2, "B2": 3, "C3": 2, "G2": 3,
+               "D4": 1, "A1xA2": 2, "F4": 1}
+
+
+@pytest.mark.parametrize("spec, radius", ORBIT_BOXES.items())
+def test_orbit_levels_match_the_closure_orbit_and_delta(spec, radius):
+    rs = build_root_system(spec)
+    for lam in itertools.product(range(-radius, radius + 1), repeat=rs.rank):
+        orbit = weyl_orbit_oracle(rs, lam)
+        assert rs.weyl_orbit(lam) == orbit, lam
+        if rs.is_dominant(lam):
+            levels = rs.orbit_levels(lam)
+            assert sorted(levels) == orbit, lam
+            assert all(k == rs.delta(mu) for mu, k in levels.items()), lam
+
+
+def test_orbit_levels_refuses_a_non_dominant_start(a2):
+    with pytest.raises(ValueError):
+        a2.orbit_levels((1, -1))
+    assert a2.orbit_levels((0, 0)) == {(0, 0): 0}
