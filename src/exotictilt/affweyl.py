@@ -15,9 +15,9 @@ Simple reflection ids: positive ints 1..rank are the finite generators
 (s_{alpha_i} with 1-based i); id -c (c >= 0) is the affine generator
 s_gamma t_{-gamma} of the c-th irreducible component, with gamma its highest
 short root.  So "s0" is the affine generator of the first component.
-Multiplying by one generator and asking whether the length went down is
-``gen_step``, in closed form from the generator's simple affine root;
-``aff_mul`` and ``aff_length`` are the general path and its oracle.
+Multiplying by one generator on the right and asking whether the length
+went down is ``gen_step``, in closed form from the generator's simple affine
+root; ``aff_mul`` and ``aff_length`` are the general path and its oracle.
 """
 
 from __future__ import annotations
@@ -112,52 +112,35 @@ def simple_generators(rs: RootSystem) -> dict:
 # x = w t_lam acts on affine roots by x(beta + n delta) = w beta +
 # (n - <lam, beta_vee>) delta, and x s < x exactly when x(a_s) < 0
 # (Bjorner-Brenti, Combinatorics of Coxeter Groups, GTM 231, Prop. 4.4.6):
-# c = n - <lam, beta_vee> < 0, or c = 0 and w beta < 0.  On the left,
-# s x < x exactly when x^-1 = w^-1 t_{-w lam} has s as a right descent; the
-# row r = beta_vee^T w pairs with lam to <w lam, beta_vee> and is the coroot
-# (w^-1 beta)_vee in simple-coroot coordinates, so its sum has the sign of
-# w^-1 beta.  A root's sign is that of its height, <height_row, root>.
+# c = n - <lam, beta_vee> < 0, or c = 0 and w beta < 0.  A root's sign is
+# that of its height, <height_row, root>.  Only right products are stepped
+# here: s x is the inverse of x^-1 s.
 
 
-def descends(rs: RootSystem, x: AffineElement, gid: int, side="right") -> bool:
-    """len(x s) < len(x) (or len(s x) < len(x) for side='left')."""
+def descends(rs: RootSystem, x: AffineElement, gid: int) -> bool:
+    """len(x s) < len(x) for the generator s = gid."""
     beta, cobeta, n = gen_roots(rs)[gid]
     w, lam = x
-    if side == "right":
-        c = n - sum(map(mul, cobeta, lam))
-        return c < 0 or (
-            c == 0 and sum(map(mul, rs.height_row, rs.apply(w, beta))) < 0)
-    r = [sum(map(mul, cobeta, col)) for col in zip(*w)]
-    c = n + sum(map(mul, r, lam))
-    return c < 0 or (c == 0 and sum(r) < 0)
+    c = n - sum(map(mul, cobeta, lam))
+    return c < 0 or (
+        c == 0 and sum(map(mul, rs.height_row, rs.apply(w, beta))) < 0)
 
 
-def gen_step(rs: RootSystem, x: AffineElement, gid: int, side="right"):
-    """(y, down): y = x s (or s x for side='left') for the generator s = gid,
-    and whether len(y) < len(x).
+def gen_step(rs: RootSystem, x: AffineElement, gid: int):
+    """(y, down): y = x s for the generator s = gid, and whether
+    len(y) < len(x).
 
-    x s = (w - (w beta) beta_vee^T) t_{lam + c beta}, and
-    s x = (w - beta r) t_{lam + n w^-1 beta}, with c and r as for descends."""
+    x s = (w - (w beta) beta_vee^T) t_{lam + c beta}, with c as for
+    descends."""
     beta, cobeta, n = gen_roots(rs)[gid]
     w, lam = x
-    if side == "right":
-        wb = [sum(map(mul, row, beta)) for row in w]
-        c = n - sum(map(mul, cobeta, lam))
-        down = c < 0 or (c == 0 and sum(map(mul, rs.height_row, wb)) < 0)
-        return AffineElement(
-            tuple([tuple([a - b * e for a, e in zip(row, cobeta)])
-                   for row, b in zip(w, wb)]),
-            tuple([a + c * b for a, b in zip(lam, beta)]),
-        ), down
-    r = [sum(map(mul, cobeta, col)) for col in zip(*w)]
-    c = n + sum(map(mul, r, lam))
-    down = c < 0 or (c == 0 and sum(r) < 0)
-    if n:
-        lam = rs.add(lam, rs.apply(rs.mat_inv(w), beta))
+    wb = [sum(map(mul, row, beta)) for row in w]
+    c = n - sum(map(mul, cobeta, lam))
+    down = c < 0 or (c == 0 and sum(map(mul, rs.height_row, wb)) < 0)
     return AffineElement(
-        tuple([tuple([a - b * e for a, e in zip(row, r)])
-               for row, b in zip(w, beta)]),
-        lam,
+        tuple([tuple([a - b * e for a, e in zip(row, cobeta)])
+               for row, b in zip(w, wb)]),
+        tuple([a + c * b for a, b in zip(lam, beta)]),
     ), down
 
 
@@ -251,9 +234,10 @@ def bruhat_leq(rs: RootSystem, x: AffineElement, y: AffineElement) -> bool:
 
 
 def _bruhat_cox(rs, u, w) -> bool:
-    """u <= w in W_aff^Cox: with s a left descent of w, compare s*u with s*w
-    when s also descends u, and u with s*w otherwise.  Each step shortens w,
-    so the walk is a loop; every pair it passes gets the final answer."""
+    """u <= w in W_aff^Cox by the lifting property (Bjorner-Brenti, GTM 231,
+    Prop. 2.2.7): with s a right descent of w, compare u*s with w*s when s
+    also descends u, and u with w*s otherwise.  Each step shortens w, so the
+    walk is a loop; every pair it passes gets the final answer."""
     memo = rs.memo("bruhat")
     order = generator_order(rs)
     ident = identity(rs)
@@ -270,11 +254,11 @@ def _bruhat_cox(rs, u, w) -> bool:
         if res is not None:
             break
         walked.append((u, w))
-        gid = next(g for g in order if descends(rs, w, g, "left"))
-        w = gen_step(rs, w, gid, "left")[0]
-        su, down = gen_step(rs, u, gid, "left")
+        gid = next(g for g in order if descends(rs, w, g))
+        w = gen_step(rs, w, gid)[0]
+        us, down = gen_step(rs, u, gid)
         if down:
-            u, lu = su, lu - 1
+            u, lu = us, lu - 1
         lw -= 1
     for key in walked:
         memo[key] = res

@@ -1,5 +1,5 @@
 """Characters of G-modules: Kostant partitions, Lusztig q-analogues,
-Freudenthal multiplicities and tensor-product decomposition.
+Freudenthal multiplicities and full weight tables.
 
 Everything here is characteristic-zero character combinatorics: Weyl and
 induced modules share characters, so a CharacterMultiset in the "Weyl" basis
@@ -289,35 +289,6 @@ def module_weights(rs: RootSystem, lam: Weight) -> dict:
     """Full weight table weight -> multiplicity of the Weyl module M(lam)."""
     return {w: m for mu, m in _dominant_mult_table(rs, lam).items()
             for w in rs.weyl_orbit(mu)}
-
-
-# ---------------------------------------------------------------------------
-# Tensor decomposition (signed reflection rule)
-
-
-def tensor_decompose(rs: RootSystem, lam: Weight, mu: Weight) -> CharacterMultiset:
-    """Multiplicities of chi(nu) in chi(lam) * chi(mu), by the signed
-    reflection rule applied over the weights of M(mu); terms whose shifted
-    weight lam + rho + xi lies on a wall are dropped."""
-    lam, mu = tuple(lam), tuple(mu)
-    if not (rs.is_dominant(lam) and rs.is_dominant(mu)):
-        raise ValueError("tensor_decompose needs dominant weights")
-    rho = rs.rho
-    out = {}
-    for xi, mult in module_weights(rs, mu).items():
-        shifted = rs.add(rs.add(lam, rho), xi)
-        dom, v, _ = rs.dominant_rep(shifted)
-        if any(a == 0 for a in dom):
-            continue
-        nu = rs.sub(dom, rho)
-        sign = -1 if v.length % 2 else 1
-        out[nu] = out.get(nu, 0) + sign * mult
-    out = {nu: c for nu, c in out.items() if c}
-    if any(c < 0 for c in out.values()):
-        raise AssertionError(
-            f"negative multiplicity in the decomposition of {lam} x {mu}"
-        )
-    return CharacterMultiset.of(rs, out, WEYL_BASIS)
 
 
 def full_weights(rs: RootSystem, cm: CharacterMultiset) -> dict:

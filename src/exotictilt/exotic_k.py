@@ -2,21 +2,19 @@
 
 The K-group is a free Z[v,v^-1]-module with costandard basis {m_lam} indexed
 by weights; m_0 is the class of the structure sheaf and the grading shift <1>
-acts as multiplication by v.  H acts on the right; on basis vectors, with
-u = w_lam * s and mu the translation index of u:
+acts as multiplication by v.  H acts on the right, and the module is the
+antispherical quotient of the right regular module (Arkhipov-Bezrukavnikov,
+Israel J. Math. 170, 2009): m_lam is the image of T_{w_lam}, and for every
+x in W_aff
 
-    m_lam . T_s    = v^-1 m_lam                    if mu == lam
-                   = m_mu                          if len(u) = len(w_lam) + 1
-                   = m_mu + (v^-1 - v) m_lam       otherwise
-    m_lam . T_s^-1 = v m_lam                       if mu == lam
-                   = m_mu + (v - v^-1) m_lam       if len(u) = len(w_lam) + 1
-                   = m_mu                          otherwise
-    m_lam . T_omega = m_mu   (mu the translation index of w_lam * omega)
+    T_x  |->  v^(len(w_mu) - len(x)) m_mu,   mu the translation part of x.
 
-The T_s^-1 rows are the T_s rows plus (v - v^-1) m_lam, from
-T_s^-1 = T_s + (v - v^-1).  The first case happens exactly when u is not
-minimal in its coset; the ``anchors`` suite of ``verify`` checks this case
-split against w_lambda.
+So m_lam . T_s^exp is the regular step T_{w_lam} T_s^exp read in the
+quotient.  When w_lam s has translation part lam, it is s' w_lam for a
+finite simple s' and not minimal in its coset; then m_lam . T_s = v^-1 m_lam
+and m_lam . T_s^-1 = v m_lam.  The ``anchors`` suite of ``verify`` checks
+this case split against w_lambda, and the ``module`` suite checks the rule.
+
 Derived classes: nabla: m_lam itself; delta: m_0 acted by the inverse of
 T_{w_lam^{-1}}; line bundles: m_0 . theta_lam; Bott-Samelson tilting classes:
 m_0 . T_omega (T_{s_r}+v) ... (T_{s_1}+v), the innermost factor acting first.
@@ -24,12 +22,12 @@ m_0 . T_omega (T_{s_r}+v) ... (T_{s_1}+v), the innermost factor acting first.
 
 from __future__ import annotations
 
-from .laurent import (Combination, LaurentPoly, ONE, V, VINV, VINV_MINUS_V,
-                      V_MINUS_VINV, _accumulate)
+from .laurent import Combination, LaurentPoly, V, VINV, _accumulate
 from .rootdata import RootSystem, Weight, memoized
 from . import affweyl
-from .heckebraid import BraidWord, act, theta_letters, word_letters
-from .affweyl import AffineElement, aff_length, aff_mul, gen_step
+from .heckebraid import (BraidWord, _step, act, act_element, theta_letters,
+                         word_letters)
+from .affweyl import AffineElement, aff_length, aff_mul
 
 
 KClass = Combination   # linear combinations of basis classes m_lam
@@ -46,16 +44,11 @@ def m0(rs: RootSystem) -> KClass:
 @memoized("k_gen_action")
 def _basis_gen_action(rs, lam: Weight, gid: int, exp: int):
     """m_lam . T_gid^exp (exp = +-1) as a tuple of (weight, poly)."""
-    u, down = gen_step(rs, affweyl.w_lambda(rs, lam)[0], gid)
-    mu = u.t
-    if mu == lam:
-        # u = (finite simple) * w_lam is not minimal in W t_lam
+    terms = _step(rs, affweyl.w_lambda(rs, lam)[0], gid, exp)
+    if terms[0][0].t == lam:
+        # w_lam s = s' w_lam is not minimal in W t_lam
         return ((lam, VINV if exp == 1 else V),)
-    if down and exp == 1:
-        return ((mu, ONE), (lam, VINV_MINUS_V))
-    if not down and exp == -1:
-        return ((mu, ONE), (lam, V_MINUS_VINV))
-    return ((mu, ONE),)
+    return tuple([(x.t, p) for x, p in terms])
 
 
 def _basis_omega_action(rs, lam: Weight, omega: AffineElement) -> Weight:
@@ -76,10 +69,7 @@ def act_hecke(rs, c: KClass, xi) -> KClass:
     """Right action of a HeckeElement or BraidWord."""
     if isinstance(xi, BraidWord):
         return _act(rs, c, xi.letters)
-    out = KClass()
-    for x, p in xi.terms.items():
-        out = out + _act(rs, c, word_letters(rs, x)).scale(p)
-    return out
+    return act_element(rs, c, xi, _basis_gen_action, _basis_omega_action)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +89,6 @@ def delta_class(rs, lam: Weight) -> KClass:
     return _act(rs, m0(rs), letters)
 
 
-@memoized("line_bundle")
 def line_bundle_class(rs, lam: Weight) -> KClass:
     """[O(lam)] = m_0 . theta_lam."""
     return _act(rs, m0(rs), theta_letters(rs, lam))

@@ -14,13 +14,14 @@ Hecke images.
 
 Every product by a word runs through one sweep, ``act``, which applies the
 letters of a word in order to a combination in a module given by its action
-on one basis key: H on the right, H on the left, or the K-module of exotic_k.
+on one basis key: H on the right, or the K-module of exotic_k, its quotient.
+A left product is the mirror of a right one under the anti-involution
+iota(T_x) = T_{x^-1}: T xi = iota(iota(xi) iota(T)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from .laurent import Combination, ONE, VINV_MINUS_V, V_MINUS_VINV, _accumulate
 from .rootdata import RootSystem, Weight, memoized
@@ -90,7 +91,7 @@ def act(rs, c: Combination, letters, step, move) -> Combination:
     (key, poly), and move(rs, key, omega) is the key of key . T_omega.  The
     step gets the sign of the letter, so T_s^{-1} = T_s + (v - v^-1) is
     applied in closed form and no term is built that cancels.  In the
-    regular modules, with a descent when len(xs) < len(x):
+    right regular module, with a descent when len(xs) < len(x):
 
         letter    descent                    no descent
         T_s       T_{xs} + (v^-1 - v) T_x    T_{xs}
@@ -113,10 +114,9 @@ def act(rs, c: Combination, letters, step, move) -> Combination:
     return Combination(terms)
 
 
-def _step(rs, x, gid, exp, side):
-    """T_x T_s^exp (or T_s^exp T_x for side='left'), exp = +-1, by the
-    table in act."""
-    y, down = gen_step(rs, x, gid, side)
+def _step(rs, x, gid, exp):
+    """T_x T_s^exp, exp = +-1, by the table in act."""
+    y, down = gen_step(rs, x, gid)
     if down and exp == 1:
         return ((y, ONE), (x, VINV_MINUS_V))
     if not down and exp == -1:
@@ -124,20 +124,37 @@ def _step(rs, x, gid, exp, side):
     return ((y, ONE),)
 
 
-# The regular modules: H acting on itself on the right and on the left.
-_SIDES = {
-    "right": (partial(_step, side="right"),
-              lambda rs, x, omega: aff_mul(rs, x, omega)),
-    "left": (partial(_step, side="left"),
-             lambda rs, x, omega: aff_mul(rs, omega, x)),
-}
+def _move(rs, x, omega):
+    """The key of T_x T_omega."""
+    return aff_mul(rs, x, omega)
+
+
+def act_element(rs, c: Combination, eta: HeckeElement, step, move):
+    """c * eta = sum_y p_y (c * T_y) for eta = sum_y p_y T_y, in the module
+    that step and move describe, summed into one table."""
+    out = {}
+    for y, p in eta.terms.items():
+        for k, q in act(rs, c, word_letters(rs, y), step, move).terms.items():
+            _accumulate(out, k, q if p is ONE else q * p)
+    return Combination(out)
+
+
+def _mirror(rs, xi: HeckeElement) -> HeckeElement:
+    """iota(xi) for the anti-involution iota(sum p_x T_x) = sum p_x T_{x^-1}."""
+    return HeckeElement({affweyl.aff_inv(rs, x): p for x, p in xi.terms.items()})
 
 
 def _regular(rs, xi, letters, side):
-    """xi * T (or T * xi, the last letter first) for the word T of letters."""
-    if side == "left":
-        letters = letters[::-1]
-    return act(rs, xi, letters, *_SIDES[side])
+    """xi * T (or T * xi) for the word T of letters.  iota(T) is the word
+    read backwards, each T_s^e kept and each T_omega^e made T_omega^-e, since
+    iota(T_omega) = T_{omega^-1}."""
+    if side == "right":
+        return act(rs, xi, letters, _step, _move)
+    if side != "left":
+        raise ValueError(f"side must be 'right' or 'left', not {side!r}")
+    letters = tuple((k, g, -e if k == "omega" else e)
+                    for k, g, e in reversed(letters))
+    return _mirror(rs, act(rs, _mirror(rs, xi), letters, _step, _move))
 
 
 def mul_gen(rs, xi: HeckeElement, gid: int, side="right") -> HeckeElement:
@@ -157,10 +174,7 @@ def mul_basis_inv(rs, xi: HeckeElement, x: AffineElement, side="right"):
 
 def hecke_mul(rs, xi: HeckeElement, eta: HeckeElement) -> HeckeElement:
     """Product in H."""
-    out = HeckeElement()
-    for y, p in eta.terms.items():
-        out = out + mul_basis(rs, xi, y, "right").scale(p)
-    return out
+    return act_element(rs, xi, eta, _step, _move)
 
 
 def evaluate_word(rs, word: BraidWord) -> HeckeElement:

@@ -204,25 +204,26 @@ def test_bruhat_on_infinite_dihedral_group():
 
 def test_bruhat_memo_matches_subword_property():
     """u <= w iff u is a subproduct of a reduced word of w.  On the length
-    ball of radius 4 in W_aff^Cox of A2, where a walk to `false` can take
-    several steps, every pair the walks memoize has that answer."""
-    rs = build_root_system("A2")    # an empty bruhat memo
-    gens = aw.simple_generators(rs)
-    ball = {aw.identity(rs)}
-    for _ in range(4):
-        ball |= {aw.aff_mul(rs, x, g) for x in ball for g in gens.values()}
-    below = {}
-    for w in ball:
-        subs = {aw.identity(rs)}
-        for gid in aw.reduced_word(rs, w)[1]:
-            subs |= {aw.aff_mul(rs, x, gens[gid]) for x in subs}
-        below[w] = subs
-    for u in ball:
+    balls of radius 4 in W_aff^Cox of A2 and G2, where a walk to `false`
+    can take several steps, every pair the walks memoize has that answer."""
+    for spec in ("A2", "G2"):
+        rs = build_root_system(spec)    # an empty bruhat memo
+        gens = aw.simple_generators(rs)
+        ball = {aw.identity(rs)}
+        for _ in range(4):
+            ball |= {aw.aff_mul(rs, x, g) for x in ball for g in gens.values()}
+        below = {}
         for w in ball:
-            assert aw.bruhat_leq(rs, u, w) == (u in below[w])
-    memo = rs.memo("bruhat")
-    assert any(not res for res in memo.values())
-    assert all(res == (u in below[w]) for (u, w), res in memo.items())
+            subs = {aw.identity(rs)}
+            for gid in aw.reduced_word(rs, w)[1]:
+                subs |= {aw.aff_mul(rs, x, gens[gid]) for x in subs}
+            below[w] = subs
+        for u in ball:
+            for w in ball:
+                assert aw.bruhat_leq(rs, u, w) == (u in below[w]), spec
+        memo = rs.memo("bruhat")
+        assert any(not res for res in memo.values()), spec
+        assert all(res == (u in below[w]) for (u, w), res in memo.items())
 
 
 def test_w_lambda_examples(a1):
@@ -331,16 +332,42 @@ def test_affine_generators_match_search(spec):
             rs.simple_reflection_matrix(i), rs.zero())
 
 
+def old_left_step(rs, x, gid):
+    """(s x, len(s x) < len(x)) by the left closed form the library dropped:
+    the row r = beta_vee^T w pairs with lam to <w lam, beta_vee> and is the
+    coroot of w^-1 beta, so s x = (w - beta r) t_{lam + n w^-1 beta}."""
+    beta, cobeta, n = aw.gen_roots(rs)[gid]
+    w, lam = x
+    r = [sum(a * b for a, b in zip(cobeta, col)) for col in zip(*w)]
+    c = n + sum(a * b for a, b in zip(r, lam))
+    if n:
+        lam = rs.add(lam, rs.apply(rs.mat_inv(w), beta))
+    return aw.AffineElement(
+        tuple(tuple(a - b * e for a, e in zip(row, r))
+              for row, b in zip(w, beta)),
+        lam,
+    ), c < 0 or (c == 0 and sum(r) < 0)
+
+
 def check_steps(rs, x):
+    """The right step and descent against aff_mul and aff_length, and the
+    left product s x, read through the inverse as (x^-1 s)^-1, against
+    them and the old left closed form."""
     gens = aw.simple_generators(rs)
     lx = aw.aff_length(rs, x)
+    xinv = aw.aff_inv(rs, x)
     for gid, s in gens.items():
-        for side, ref in (("right", aw.aff_mul(rs, x, s)),
-                          ("left", aw.aff_mul(rs, s, x))):
-            y, down = aw.gen_step(rs, x, gid, side)
-            assert y == ref, (gid, side)
-            assert down == (aw.aff_length(rs, ref) < lx), (gid, side)
-            assert aw.descends(rs, x, gid, side) == down, (gid, side)
+        ref = aw.aff_mul(rs, x, s)
+        y, down = aw.gen_step(rs, x, gid)
+        assert y == ref, gid
+        assert down == (aw.aff_length(rs, ref) < lx), gid
+        assert aw.descends(rs, x, gid) == down, gid
+        ref = aw.aff_mul(rs, s, x)
+        y, down = aw.gen_step(rs, xinv, gid)
+        assert aw.aff_inv(rs, y) == ref, gid
+        assert down == (aw.aff_length(rs, ref) < lx), gid
+        assert aw.descends(rs, xinv, gid) == down, gid
+        assert old_left_step(rs, x, gid) == (ref, down), gid
     assert aw.reduced_word(rs, x) == oracle_reduced_word(rs, x)
 
 

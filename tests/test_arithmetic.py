@@ -12,7 +12,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exotictilt import affweyl as aw, charring as ch
+from exotictilt import affweyl as aw, charring as ch, heckebraid as hb
 from exotictilt.rootdata import PositiveRoot, _cartan_matrix, build_root_system
 
 from conftest import IRREDUCIBLE_UP_TO_RANK_8, PRODUCTS, get_rs
@@ -316,7 +316,8 @@ def test_mat_inv_refuses_non_weyl_matrices():
 
 def test_weyl_arithmetic_builds_no_fractions():
     """aff_mul, aff_length, reduced_word, mat_inv, root_coords_int, the
-    one-generator step on both sides, bruhat_leq and the Freudenthal tables
+    one-generator step, left products by a generator, bruhat_leq and the
+    Freudenthal tables
     behind freudenthal_mult and module_weights run in integers only, cold
     memo tables included."""
     rs = build_root_system("A3")
@@ -347,9 +348,9 @@ def test_weyl_arithmetic_builds_no_fractions():
                 rs.root_coords_int(xy.t)
         for x in elements:
             for gid in aw.generator_order(cold):
-                for side in ("right", "left"):
-                    aw.gen_step(cold, x, gid, side)
-                    aw.descends(cold, x, gid, side)
+                aw.gen_step(cold, x, gid)
+                aw.descends(cold, x, gid)
+                hb.mul_gen(cold, hb.T(cold, x), gid, "left")
         for x in elements[::4]:
             for y in elements[::7]:
                 aw.bruhat_leq(cold, x, y)

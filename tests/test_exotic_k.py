@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from exotictilt import affweyl as aw, exotic_k as ek, heckebraid as hb
 from exotictilt.exotic_k import KClass
-from exotictilt.laurent import LaurentPoly, ONE, VINV
+from exotictilt.laurent import (LaurentPoly, ONE, VINV, VINV_MINUS_V,
+                                V_MINUS_VINV)
 
 from conftest import get_rs
 
@@ -119,6 +120,31 @@ def test_tensor_class_matches_the_per_weight_sum(spec):
                 tensor_class_oracle(rs, weights, c), (spec, weights)
     with pytest.raises(ValueError):
         ek.tensor_class(rs, {rs.zero(): 1, rs.rho: -1}, starts[0])
+
+
+def old_basis_gen_action(rs, lam, gid, exp):
+    """The K-module case table the library replaced by the regular step of
+    T_{w_lam}: u = w_lam s with translation part mu."""
+    u, down = aw.gen_step(rs, aw.w_lambda(rs, lam)[0], gid)
+    mu = u.t
+    if mu == lam:
+        return ((lam, VINV if exp == 1 else V),)
+    if down and exp == 1:
+        return ((mu, ONE), (lam, VINV_MINUS_V))
+    if not down and exp == -1:
+        return ((mu, ONE), (lam, V_MINUS_VINV))
+    return ((mu, ONE),)
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ("A1", 4), ("A2", 2), ("B2", 2), ("G2", 2), ("A3", 1), ("A1xA2", 1)])
+def test_basis_gen_action_matches_the_old_case_table(spec, radius):
+    rs = get_rs(spec)
+    for lam in aw.weight_box(rs, radius):
+        for gid in aw.generator_order(rs):
+            for exp in (1, -1):
+                assert ek._basis_gen_action(rs, lam, gid, exp) == \
+                    old_basis_gen_action(rs, lam, gid, exp), (lam, gid, exp)
 
 
 def test_spherical_character():

@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from exotictilt import affweyl as aw, exotic_k as ek, heckebraid as hb, verify
@@ -169,6 +170,12 @@ def test_left_right_sweeps_agree_with_products(a2):
         hb.hecke_mul(a2, hb.T(a2, x), xi)
 
 
+def test_unknown_side_is_refused(a2):
+    for fn, arg in ((hb.mul_gen, 1), (hb.mul_basis, aw.identity(a2))):
+        with pytest.raises(ValueError, match="side must be"):
+            fn(a2, hb.unit(a2), arg, "Left")
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_word_sweeps_invert_on_both_sides(data):
@@ -198,14 +205,15 @@ def test_word_sweeps_invert_on_both_sides(data):
 
 
 def _module(rs, name):
-    """(step, move, key strategy) of one module of the sweep."""
+    """(step, move, key strategy) of one module of the sweep: the right
+    regular module or its K quotient."""
     if name == "K":
         keys = st.tuples(*[st.integers(-2, 2)] * rs.rank)
         return ek._basis_gen_action, ek._basis_omega_action, keys
     keys = st.builds(lambda w, t: aw.AffineElement(w.matrix, t),
                      st.sampled_from(rs.weyl_group()),
                      st.tuples(*[st.integers(-1, 1)] * rs.rank))
-    return (*hb._SIDES[name], keys)
+    return hb._step, hb._move, keys
 
 
 POLYS = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3).filter(bool),
@@ -215,11 +223,12 @@ POLYS = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3).filter(bool),
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_inverse_letters_match_the_quadratic_relation(data):
-    """The closed-form T_s^{-1} steps of the right, left and K-modules
-    against T_s^{-1} = T_s + (v - v^-1), and T_s, T_s^{-1} undoing each
-    other in either order."""
+    """The closed-form T_s^{-1} steps of the right regular module and its K
+    quotient against T_s^{-1} = T_s + (v - v^-1), and T_s, T_s^{-1} undoing
+    each other in either order.  Left products are mirrored right ones;
+    test_word_sweeps_invert_on_both_sides covers their inverse letters."""
     rs = get_rs(data.draw(st.sampled_from(["A1", "A2", "B2", "G2"])))
-    module = data.draw(st.sampled_from(["right", "left", "K"]))
+    module = data.draw(st.sampled_from(["right", "K"]))
     step, move, keys = _module(rs, module)
     terms = data.draw(st.dictionaries(keys, POLYS, min_size=1, max_size=4))
     if module == "K":   # at m_0 every finite s is not minimal
@@ -232,6 +241,75 @@ def test_inverse_letters_match_the_quadratic_relation(data):
             once + c.scale(V_MINUS_VINV), (module, gid)
         assert hb.act(rs, c, (s, sinv), step, move) == c, (module, gid)
         assert hb.act(rs, c, (sinv, s), step, move) == c, (module, gid)
+
+
+def _word_element(rs, data, max_size):
+    """(letters, H-element) of a random word in T_s^+-1 and, where Omega is
+    not trivial, T_omega^+-1, with a random coefficient."""
+    letter = st.tuples(st.just("s"), st.sampled_from(aw.generator_order(rs)),
+                       st.sampled_from([1, -1]))
+    om = [o for o in aw.omega_elements(rs).values() if o != aw.identity(rs)]
+    if om:
+        letter = st.one_of(letter, st.tuples(
+            st.just("omega"), st.sampled_from(om), st.sampled_from([1, -1])))
+    letters = tuple(data.draw(st.lists(letter, max_size=max_size)))
+    xi = hb.evaluate_word(rs, hb.BraidWord(letters)).scale(data.draw(POLYS))
+    return letters, xi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mirror_is_an_anti_involution_and_makes_left_products(data):
+    """iota(T_x) = T_{x^-1} is an involution and reverses products, and a
+    left product by a word, with Omega letters on A2, equals the product
+    in H with the word's image on the left."""
+    rs = get_rs(data.draw(st.sampled_from(["A2", "B2", "G2"])))
+    _, xi = _word_element(rs, data, 4)
+    letters, eta = _word_element(rs, data, 4)
+    assert hb._mirror(rs, hb._mirror(rs, xi)) == xi
+    assert hb._mirror(rs, hb.hecke_mul(rs, xi, eta)) == \
+        hb.hecke_mul(rs, hb._mirror(rs, eta), hb._mirror(rs, xi))
+    word = hb.evaluate_word(rs, hb.BraidWord(letters))
+    assert hb._regular(rs, xi, letters, "left") == hb.hecke_mul(rs, word, xi)
+    omega = data.draw(st.sampled_from(list(aw.omega_elements(rs).values())))
+    w = data.draw(st.sampled_from(rs.weyl_group()))
+    t = data.draw(st.tuples(*[st.integers(-1, 1)] * rs.rank))
+    x = aw.aff_mul(rs, omega, aw.AffineElement(w.matrix, t))
+    assert hb.mul_basis(rs, xi, x, "left") == hb.hecke_mul(rs, hb.T(rs, x), xi)
+    assert hb.mul_basis_inv(rs, xi, x, "left") == hb.hecke_mul(
+        rs, hb.evaluate_word(rs, hb.BraidWord(hb.word_letters(rs, x, True))), xi)
+
+
+def _scale_loop(act_one, c, eta, zero):
+    """The per-term linear extension act_element replaced: out + (c * T_y) p_y
+    over the terms p_y T_y of eta."""
+    out = zero
+    for y, p in eta.terms.items():
+        out = out + act_one(c, y).scale(p)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_act_element_matches_the_per_term_scale_loop(data):
+    """hecke_mul and act_hecke on multi-term elements against the per-term
+    loop, terms in the same order, in H and in the K-module."""
+    rs = get_rs(data.draw(st.sampled_from(["A1", "A2", "B2", "G2"])))
+    _, xi = _word_element(rs, data, 3)
+    _, eta = _word_element(rs, data, 4)
+    eta = eta + hb.theta(rs, data.draw(
+        st.tuples(*[st.integers(-1, 1)] * rs.rank))).scale(data.draw(POLYS))
+    got = hb.hecke_mul(rs, xi, eta)
+    old = _scale_loop(lambda c, y: hb.mul_basis(rs, c, y), xi, eta,
+                      hb.HeckeElement())
+    assert list(got.terms.items()) == list(old.terms.items())
+    lam = data.draw(st.tuples(*[st.integers(-2, 2)] * rs.rank))
+    c = ek.KClass.basis(lam).scale(data.draw(POLYS)) + ek.m0(rs)
+    got = ek.act_hecke(rs, c, eta)
+    old = _scale_loop(
+        lambda c, y: ek.act_hecke(rs, c, hb.BraidWord(hb.word_letters(rs, y))),
+        c, eta, ek.KClass())
+    assert list(got.terms.items()) == list(old.terms.items())
 
 
 def test_verify_bernstein_passes(a1, a2):

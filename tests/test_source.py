@@ -106,3 +106,20 @@ def test_laurent_coefficients_are_read_only_in_laurent():
             if isinstance(node, ast.Attribute) and node.attr == "c":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_generator_steps_go_through_heckebraid():
+    """affweyl.gen_step is the one closed-form generator step; outside
+    affweyl, only heckebraid calls it, so every module step (left products
+    and the K-module included) goes through heckebraid._step."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name in ("affweyl.py", "heckebraid.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Name) and node.id == "gen_step") or (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "gen_step") or (
+                    isinstance(node, ast.alias) and node.name == "gen_step"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

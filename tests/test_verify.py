@@ -1,7 +1,7 @@
 import pytest
 
 from exotictilt import (
-    KClass, affweyl, build_root_system, cli, rootdata, verify,
+    KClass, affweyl, build_root_system, cli, exotic_k, rootdata, verify,
 )
 
 from conftest import get_rs
@@ -58,7 +58,9 @@ def test_anchors_suite_passes(spec):
 
 def test_anchors_suite_reports_a_rigged_line_bundle(capsys, monkeypatch):
     rs = build_root_system("A1")
-    rs.memo("line_bundle")[(1,)] = KClass.basis((0,))
+    line_bundle_class = exotic_k.line_bundle_class
+    monkeypatch.setattr(exotic_k, "line_bundle_class", lambda rs, lam: (
+        KClass.basis((0,)) if lam == (1,) else line_bundle_class(rs, lam)))
     reports = verify.run_suites(rs, "anchors", radius=2)
     failed = [r for r in reports if not r.passed]
     assert [r.name.split("[")[0] for r in failed] == ["line-bundle-anchors"]
