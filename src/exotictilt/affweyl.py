@@ -175,8 +175,10 @@ def reduced_word(rs: RootSystem, x: AffineElement):
 
 
 def omega_decompose(rs: RootSystem, x: AffineElement):
-    """x = omega * u with len(omega) = 0 and u in W_aff^Cox."""
-    omega, word = reduced_word(rs, x)
+    """x = omega * u with len(omega) = 0 and u in W_aff^Cox: omega is the
+    element of Omega in the Z.Phi-class of x.t, since u has translation in
+    Z.Phi."""
+    omega = omega_of_weight(rs, x.t)
     u = aff_mul(rs, aff_inv(rs, omega), x)
     if rs.root_coords_int(u.t) is None:
         raise AssertionError(f"omega_decompose({x}): u has a translation outside Z.Phi")
@@ -225,12 +227,11 @@ def omega_of_weight(rs: RootSystem, lam: Weight) -> AffineElement:
 
 def bruhat_leq(rs: RootSystem, x: AffineElement, y: AffineElement) -> bool:
     """Bruhat order on W_aff, defined componentwise over Omega: elements with
-    different length-0 parts are incomparable."""
-    ox, ux = omega_decompose(rs, x)
-    oy, uy = omega_decompose(rs, y)
-    if ox != oy:
+    different length-0 parts, that is translations in different
+    Z.Phi-classes, are incomparable."""
+    if coset_class_key(rs, x.t) != coset_class_key(rs, y.t):
         return False
-    return _bruhat_cox(rs, ux, uy)
+    return _bruhat_cox(rs, omega_decompose(rs, x)[1], omega_decompose(rs, y)[1])
 
 
 def _bruhat_cox(rs, u, w) -> bool:
@@ -273,7 +274,7 @@ def _bruhat_cox(rs, u, w) -> bool:
 def w_lambda(rs: RootSystem, lam: Weight):
     """(w_lam, delta(lam)): the shortest element of W t_lam, equal to
     v t_lam where v is minimal with v(lam) dominant."""
-    dom, v, delta = rs.dominant_rep(lam)
+    _, v, delta = rs.dominant_rep(lam)
     elt = AffineElement(v.matrix, lam)
     if aff_length(rs, elt) != aff_length(rs, t_lambda(rs, lam)) - delta:
         raise AssertionError(f"length identity failed for w_lambda({lam})")

@@ -284,7 +284,6 @@ def freudenthal_mult(rs: RootSystem, lam: Weight, mu: Weight) -> int:
     return _dominant_mult_table(rs, lam).get(rs.dom(tuple(mu)), 0)
 
 
-@memoized("module_weights")
 def module_weights(rs: RootSystem, lam: Weight) -> dict:
     """Full weight table weight -> multiplicity of the Weyl module M(lam)."""
     return {w: m for mu, m in _dominant_mult_table(rs, lam).items()

@@ -90,15 +90,13 @@ def parse_omega_arg(rs: RootSystem, text: str) -> AffineElement:
     if text == "e":
         return affweyl.identity(rs)
     if text == "omega":
-        nontrivial = [
-            om for om in affweyl.omega_elements(rs).values()
-            if om != affweyl.identity(rs)
-        ]
-        if len(nontrivial) != 1:
+        # |Omega| = det A, so a unique nontrivial element needs det A = 2
+        if rs.cartan_det != 2:
             raise CliError(
                 "'omega' is ambiguous here; use o[...] with a class representative"
             )
-        return nontrivial[0]
+        return affweyl.omega_of_weight(rs, next(
+            f for f in rs.identity_matrix if any(affweyl.coset_class_key(rs, f))))
     if text.startswith("o[") and text.endswith("]"):
         return affweyl.omega_of_weight(rs, parse_weight(rs, text[1:]))
     x = parse_element(rs, text)

@@ -10,10 +10,14 @@ x in W_aff
     T_x  |->  v^(len(w_mu) - len(x)) m_mu,   mu the translation part of x.
 
 So m_lam . T_s^exp is the regular step T_{w_lam} T_s^exp read in the
-quotient.  When w_lam s has translation part lam, it is s' w_lam for a
-finite simple s' and not minimal in its coset; then m_lam . T_s = v^-1 m_lam
-and m_lam . T_s^-1 = v m_lam.  The ``anchors`` suite of ``verify`` checks
-this case split against w_lambda, and the ``module`` suite checks the rule.
+quotient.  For s = s_beta t_{n beta}, x = w t_lam steps to x s with
+translation lam + c beta, c = n - <lam, beta_vee>, and s descends x when
+c < 0: off the wall c = 0 neither depends on w, so the step reads t_lam,
+not w_lam.  On the wall, w_lam s = s' w_lam for a finite simple s' is not
+minimal in its coset; then m_lam . T_s = v^-1 m_lam and m_lam . T_s^-1 =
+v m_lam.  T_omega moves m_lam to m_mu, mu the translation of t_lam omega.
+The ``anchors`` suite of ``verify`` checks this case split against
+w_lambda, and the ``module`` suite checks the rule.
 
 Derived classes: nabla: m_lam itself; delta: m_0 acted by the inverse of
 T_{w_lam^{-1}}; line bundles: m_0 . theta_lam; Bott-Samelson tilting classes:
@@ -27,7 +31,7 @@ from .rootdata import RootSystem, Weight, memoized
 from . import affweyl
 from .heckebraid import (BraidWord, _step, act, act_element, theta_letters,
                          word_letters)
-from .affweyl import AffineElement, aff_length, aff_mul
+from .affweyl import AffineElement, aff_length, aff_mul, t_lambda
 
 
 KClass = Combination   # linear combinations of basis classes m_lam
@@ -44,16 +48,16 @@ def m0(rs: RootSystem) -> KClass:
 @memoized("k_gen_action")
 def _basis_gen_action(rs, lam: Weight, gid: int, exp: int):
     """m_lam . T_gid^exp (exp = +-1) as a tuple of (weight, poly)."""
-    terms = _step(rs, affweyl.w_lambda(rs, lam)[0], gid, exp)
+    terms = _step(rs, t_lambda(rs, lam), gid, exp)
     if terms[0][0].t == lam:
-        # w_lam s = s' w_lam is not minimal in W t_lam
+        # on the wall c = 0: w_lam s = s' w_lam is not minimal in W t_lam
         return ((lam, VINV if exp == 1 else V),)
     return tuple([(x.t, p) for x, p in terms])
 
 
 def _basis_omega_action(rs, lam: Weight, omega: AffineElement) -> Weight:
     """The weight mu with m_lam . T_omega = m_mu."""
-    return aff_mul(rs, affweyl.w_lambda(rs, lam)[0], omega).t
+    return aff_mul(rs, t_lambda(rs, lam), omega).t
 
 
 def _act(rs, c: KClass, letters) -> KClass:

@@ -12,14 +12,13 @@ import operator
 
 
 class LaurentPoly:
-    __slots__ = ("c", "_hash")
+    __slots__ = ("c",)
 
     def __init__(self, coeffs=None):
         if coeffs:
             self.c = {e: c for e, c in coeffs.items() if c != 0}
         else:
             self.c = {}
-        self._hash = None
 
     # -- constructors -------------------------------------------------------
 
@@ -48,9 +47,7 @@ class LaurentPoly:
         return self.c == other.c
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.c.items()))
-        return self._hash
+        return hash(frozenset(self.c.items()))
 
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.c.items()})

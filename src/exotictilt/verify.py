@@ -233,7 +233,6 @@ def suite_order(rs: RootSystem, radius: int, seed: int = 0):
 def suite_module(rs: RootSystem, radius: int, seed: int = 0):
     rng = random.Random(seed)
     box = affweyl.weight_box(rs, radius)
-    gens = simple_generators(rs)
     order = affweyl.generator_order(rs)
     m0 = exotic_k.m0(rs)
 

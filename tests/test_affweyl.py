@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +103,29 @@ def test_omega_decompose_examples(a1, a2):
     assert len(aw.omega_elements(a2)) == 3
 
 
+@pytest.mark.parametrize("spec", [
+    "A1", "A2", "A3", "B2", "G2", "D4", "E6", "A1xA2"])
+def test_omega_decompose_matches_the_reduced_word(spec):
+    """The Omega-part read off the translation's Z.Phi-class is the
+    length-0 prefix that greedy descent stripping leaves, on random
+    elements omega t_lam s_1 ... s_k with omega over all of Omega."""
+    rs = get_rs(spec)
+    rng = random.Random(spec)
+    gens = aw.simple_generators(rs)
+    omegas = list(aw.omega_elements(rs).values())
+    parts = set()
+    for _ in range(30):
+        x = aw.aff_mul(rs, rng.choice(omegas), aw.t_lambda(
+            rs, tuple(rng.randint(-2, 2) for _ in range(rs.rank))))
+        for _ in range(rng.randint(0, 6)):
+            x = aw.aff_mul(rs, x, gens[rng.choice(list(gens))])
+        om = aw.reduced_word(rs, x)[0]
+        assert aw.omega_decompose(rs, x) == (
+            om, aw.aff_mul(rs, aw.aff_inv(rs, om), x)), x
+        parts.add(om)
+    assert len(parts) == rs.cartan_det
+
+
 def test_omega_orders():
     for spec, n in [("A1", 2), ("A2", 3), ("B2", 2), ("G2", 1), ("A1xA1", 4)]:
         assert len(aw.omega_elements(get_rs(spec))) == n
@@ -203,14 +227,17 @@ def test_bruhat_on_infinite_dihedral_group():
 
 
 def test_bruhat_memo_matches_subword_property():
-    """u <= w iff u is a subproduct of a reduced word of w.  On the length
-    balls of radius 4 in W_aff^Cox of A2 and G2, where a walk to `false`
-    can take several steps, every pair the walks memoize has that answer."""
-    for spec in ("A2", "G2"):
+    """u <= w iff u is a subproduct of a reduced word of w, and omega u <=
+    omega' w iff omega = omega' and u <= w.  On the length balls of radius 4
+    in W_aff^Cox of A2 and G2 and radius 3 in D4, where a walk to `false`
+    can take several steps, times every pair of Omega elements, every pair
+    the walks memoize has that answer."""
+    for spec, radius in (("A2", 4), ("G2", 4), ("D4", 3)):
         rs = build_root_system(spec)    # an empty bruhat memo
         gens = aw.simple_generators(rs)
+        omegas = list(aw.omega_elements(rs).values())
         ball = {aw.identity(rs)}
-        for _ in range(4):
+        for _ in range(radius):
             ball |= {aw.aff_mul(rs, x, g) for x in ball for g in gens.values()}
         below = {}
         for w in ball:
@@ -220,7 +247,12 @@ def test_bruhat_memo_matches_subword_property():
             below[w] = subs
         for u in ball:
             for w in ball:
-                assert aw.bruhat_leq(rs, u, w) == (u in below[w]), spec
+                expect = u in below[w]
+                for ou in omegas:
+                    for ow in omegas:
+                        assert aw.bruhat_leq(
+                            rs, aw.aff_mul(rs, ou, u), aw.aff_mul(rs, ow, w)
+                        ) == (expect and ou == ow), spec
         memo = rs.memo("bruhat")
         assert any(not res for res in memo.values()), spec
         assert all(res == (u in below[w]) for (u, w), res in memo.items())

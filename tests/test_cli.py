@@ -221,6 +221,28 @@ def test_bott_samelson_with_a_huge_omega_weight():
     assert proc.stdout.strip() == "(v + v^-1)*m[0,-1]"
 
 
+def _omega_from_the_closure(rs):
+    """The 'omega' argument read from the whole Omega table: its unique
+    nontrivial element, or None when there is none or more than one."""
+    nontrivial = [om for om in affweyl.omega_elements(rs).values()
+                  if om != affweyl.identity(rs)]
+    return nontrivial[0] if len(nontrivial) == 1 else None
+
+
+@pytest.mark.parametrize("spec", [
+    "G2", "F4", "A1", "B2", "C3", "C4", "E7", "A2", "E6", "D4", "A1xA1"])
+def test_omega_argument_matches_the_omega_closure(spec):
+    """'omega' names the nontrivial element of Omega exactly when det A = 2,
+    as the Omega table says, and is refused with one error line otherwise."""
+    rs = build_root_system(spec)
+    expect = _omega_from_the_closure(rs)
+    if expect is None:
+        with pytest.raises(cli.CliError, match="'omega' is ambiguous"):
+            cli.parse_omega_arg(rs, "omega")
+    else:
+        assert cli.parse_omega_arg(rs, "omega") == expect
+
+
 def test_rootinfo_e8_closed_form():
     """|W(E8)| comes from Macdonald's formula, not from enumerating W."""
     proc = run_cli_process("rootinfo", "E8", "--json", timeout=30)

@@ -123,8 +123,8 @@ def test_tensor_class_matches_the_per_weight_sum(spec):
 
 
 def old_basis_gen_action(rs, lam, gid, exp):
-    """The K-module case table the library replaced by the regular step of
-    T_{w_lam}: u = w_lam s with translation part mu."""
+    """The K-module case table read from w_lam, u = w_lam s with translation
+    part mu, which the library replaced by the regular step of t_lam."""
     u, down = aw.gen_step(rs, aw.w_lambda(rs, lam)[0], gid)
     mu = u.t
     if mu == lam:
@@ -136,8 +136,11 @@ def old_basis_gen_action(rs, lam, gid, exp):
     return ((mu, ONE),)
 
 
-@pytest.mark.parametrize("spec,radius", [
-    ("A1", 4), ("A2", 2), ("B2", 2), ("G2", 2), ("A3", 1), ("A1xA2", 1)])
+ORACLE_BOXES = [("A1", 4), ("A2", 2), ("B2", 2), ("G2", 2), ("A3", 1),
+                ("A1xA2", 1), ("D4", 1)]
+
+
+@pytest.mark.parametrize("spec,radius", ORACLE_BOXES)
 def test_basis_gen_action_matches_the_old_case_table(spec, radius):
     rs = get_rs(spec)
     for lam in aw.weight_box(rs, radius):
@@ -145,6 +148,19 @@ def test_basis_gen_action_matches_the_old_case_table(spec, radius):
             for exp in (1, -1):
                 assert ek._basis_gen_action(rs, lam, gid, exp) == \
                     old_basis_gen_action(rs, lam, gid, exp), (lam, gid, exp)
+
+
+@pytest.mark.parametrize("spec,radius", ORACLE_BOXES)
+def test_basis_omega_action_matches_w_lambda(spec, radius):
+    """m_lam . T_omega read from t_lam omega is m_mu for mu the translation
+    of w_lam omega, for every Omega element."""
+    rs = get_rs(spec)
+    omegas = list(aw.omega_elements(rs).values())
+    for lam in aw.weight_box(rs, radius):
+        wl = aw.w_lambda(rs, lam)[0]
+        for om in omegas:
+            assert ek._basis_omega_action(rs, lam, om) == \
+                aw.aff_mul(rs, wl, om).t, (lam, om)
 
 
 def test_spherical_character():
@@ -262,3 +278,22 @@ def test_tensor_by_tilting_character_preserves_positivity():
             bs = ek.bott_samelson_class(rs, om, seq)
             for weights in chars:
                 assert ek.tensor_class(rs, weights, bs).is_nonneg()
+
+
+def _bar(rs, c):
+    """bar(sum p_mu m_mu) = sum pbar_mu Delta^mu, pbar(v) = p(v^-1)."""
+    out = KClass()
+    for mu, p in c.terms.items():
+        out = out + ek.delta_class(rs, mu).scale(p.compose_power(-1))
+    return out
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ("A1", 5), ("A2", 2), ("B2", 2), ("G2", 1), ("A3", 1), ("A1xA2", 1)])
+def test_bar_is_an_involution(spec, radius):
+    """bar(bar(m_lam)) = m_lam: the inverse letters of every Delta^mu run
+    through the K step, so a wrong wall case or a wrong sign shows here."""
+    rs = get_rs(spec)
+    for lam in aw.weight_box(rs, radius):
+        m = KClass.basis(lam)
+        assert _bar(rs, _bar(rs, m)) == m, lam

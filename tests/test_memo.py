@@ -27,7 +27,6 @@ CALLS = {
     "kostant": (lambda rs: charring.kostant_partition(rs, (2, 2)), (2, 2)),
     "freudenthal": (lambda rs: charring._dominant_mult_table(rs, (2, 1)),
                     (2, 1)),
-    "module_weights": (lambda rs: charring.module_weights(rs, (1, 1)), (1, 1)),
 }
 
 
@@ -53,7 +52,6 @@ def test_root_systems_of_one_spec_share_no_entries():
 @pytest.mark.parametrize("fn,name", [
     (charring.kostant_partition, "kostant"),
     (charring._dominant_mult_table, "freudenthal"),
-    (charring.module_weights, "module_weights"),
 ])
 def test_a_list_argument_is_keyed_as_a_tuple(fn, name):
     rs = build_root_system("A2")

@@ -123,3 +123,58 @@ def test_generator_steps_go_through_heckebraid():
                     isinstance(node, ast.alias) and node.name == "gen_step"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def _functions():
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path, node
+
+
+def test_no_dead_locals():
+    """No function assigns a local that it never reads (names starting with
+    an underscore are exempt).  Reads in nested functions count, since a
+    closure reads its parent's locals."""
+    found = []
+    for path, fn in _functions():
+        stored, read = {}, set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+        found += [f"{path.name}:{line} {fn.name}: {name}"
+                  for name, line in stored.items()
+                  if name not in read and not name.startswith("_")]
+    assert not found, found
+
+
+# (module, function) -> names the function must not call: the K-module's
+# basis action steps t_lam, not the minimal coset representative w_lam, and
+# an Omega-part is read off the translation's Z.Phi-class, with no reduced
+# word of the element and no Omega closure.
+REPLACED_CALLS = {
+    ("exotic_k.py", "_basis_gen_action"): {"w_lambda", "dominant_rep"},
+    ("exotic_k.py", "_basis_omega_action"): {"w_lambda", "dominant_rep"},
+    ("affweyl.py", "omega_decompose"): {"reduced_word"},
+    ("cli.py", "parse_omega_arg"): {"omega_elements"},
+}
+
+
+def test_replaced_calls_stay_gone():
+    seen, found = set(), []
+    for path, fn in _functions():
+        banned = REPLACED_CALLS.get((path.name, fn.name))
+        if banned is None:
+            continue
+        seen.add((path.name, fn.name))
+        found += [f"{path.name}:{node.lineno} {fn.name}"
+                  for node in ast.walk(fn)
+                  if (isinstance(node, ast.Name) and node.id in banned) or (
+                      isinstance(node, ast.Attribute) and node.attr in banned)]
+    assert seen == set(REPLACED_CALLS), seen
+    assert not found, found
