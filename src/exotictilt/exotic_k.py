@@ -22,11 +22,33 @@ w_lambda, and the ``module`` suite checks the rule.
 Derived classes: nabla: m_lam itself; delta: m_0 acted by the inverse of
 T_{w_lam^{-1}}; line bundles: m_0 . theta_lam; Bott-Samelson tilting classes:
 m_0 . T_omega (T_{s_r}+v) ... (T_{s_1}+v), the innermost factor acting first.
+
+Line bundles by reflection.  For a finite simple reflection s = s_alpha,
+Lusztig's Bernstein relation (J. AMS 2, 1989, Prop. 3.6) reads
+
+    theta_mu T_s - T_s theta_{s mu}
+        = (v^-1 - v) (theta_mu - theta_{s mu}) / (1 - theta_{-alpha}),
+
+and for k = <mu, alpha_vee> > 0 the quotient is the sum of the
+theta_{mu - j alpha}, 0 <= j < k.  Left-multiplied by m_0, with m_0 . T_s =
+v^-1 m_0 and [O(mu)] = m_0 . theta_mu, it gives
+
+    [O(s mu)] = v ([O(mu)] . T_s - (v^-1 - v) sum_{0 <= j < k} [O(mu - j alpha)]),
+
+and T_s = T_s^-1 + (v^-1 - v) cancels the j = 0 term:
+
+    [O(s mu)] = v ([O(mu)] . T_s^-1 + (v - v^-1) sum_{0 < j < k} [O(mu - j alpha)]).
+
+From [O(lam)] = m_lam for dominant lam, tensor_class builds each line
+bundle with one such step from classes already in its table; a weight whose
+inputs are not all there is swept through the letters of theta_lam instead,
+as line_bundle_class does for a single weight.
 """
 
 from __future__ import annotations
 
-from .laurent import Combination, LaurentPoly, V, VINV, _accumulate
+from .laurent import (Combination, LaurentPoly, V, VINV, V_MINUS_VINV,
+                      _accumulate)
 from .rootdata import RootSystem, Weight, memoized
 from . import affweyl
 from .heckebraid import (BraidWord, _step, act, act_element, theta_letters,
@@ -112,13 +134,67 @@ def bott_samelson_class(rs, omega: AffineElement, seq) -> KClass:
     return c
 
 
+def _reflection_inputs(rs, lam: Weight):
+    """(i, [mu, mu - alpha_i, ..., mu - (k-1) alpha_i]) for a non-dominant
+    lam, with i the first index where lam_i < 0, k = -lam_i and mu = s_i lam
+    = lam + k alpha_i, so <mu, alpha_i^vee> = k; (None, []) for a dominant
+    lam."""
+    i = next((j for j, a in enumerate(lam) if a < 0), None)
+    if i is None:
+        return None, []
+    alpha, k = rs.simple_roots[i], -lam[i]
+    mu = tuple([a + k * r for a, r in zip(lam, alpha)])
+    return i, [tuple([a - j * r for a, r in zip(mu, alpha)]) for j in range(k)]
+
+
+def _line_bundles(rs, weights) -> dict:
+    """Fill the table rs.memo("line_bundle") of [O(lam)] for the weights and
+    return it.
+
+    A dominant lam gives m_lam.  Otherwise, with i and the inputs mu = s_i
+    lam, mu - j alpha_i (0 < j < k) of _reflection_inputs, [O(lam)] is the
+    reflection step of the module docstring when every input is in the
+    table, and the theta sweep of line_bundle_class when one is not.  The
+    weights are taken by increasing ((lam, lam), delta(lam)): mu has the
+    norm of lam and one inversion less, and each mu - j alpha_i is shorter,
+    so in a W-saturated table (the weights of a G-module) every input comes
+    first and no sweep is made."""
+    table = rs.memo("line_bundle")
+    todo = sorted({lam for lam in weights if lam not in table},
+                  key=lambda lam: (rs.det_inner(lam, lam), rs.delta(lam)))
+    for lam in todo:
+        i, inputs = _reflection_inputs(rs, lam)
+        if i is None:
+            table[lam] = KClass.basis(lam)
+            continue
+        classes = [table.get(nu) for nu in inputs]
+        if None in classes:
+            table[lam] = line_bundle_class(rs, lam)
+            continue
+        out = dict(_act(rs, classes[0], (("s", i + 1, -1),)).terms)
+        for c in classes[1:]:
+            for key, p in c.terms.items():
+                _accumulate(out, key, p * V_MINUS_VINV)
+        table[lam] = KClass({key: p.shift(1) for key, p in out.items()})
+    return table
+
+
 def tensor_class(rs, weights: dict, c: KClass) -> KClass:
-    """c acted by sum_mu dim(V_mu) theta_mu for a G-module weight table."""
+    """c acted by sum_mu dim(V_mu) theta_mu for a G-module weight table.
+
+    For c = m_0 each image m_0 . theta_mu = [O(mu)] is read off the
+    line-bundle table of _line_bundles.  Any other c is swept through the
+    letters of each theta_mu: the reflection step rests on m_0 . T_s lying
+    in Z[v,v^-1] m_0, which fails for other classes.  Only tests pass
+    another c."""
+    if any(mult < 0 for mult in weights.values()):
+        raise ValueError("weight multiplicities must be nonnegative")
+    weights = {mu: mult for mu, mult in weights.items() if mult}
+    table = _line_bundles(rs, weights) if c == m0(rs) else None
     out = {}
     for mu, mult in weights.items():
-        if mult < 0:
-            raise ValueError("weight multiplicities must be nonnegative")
-        if mult:
-            for k, p in _act(rs, c, theta_letters(rs, mu)).terms.items():
-                _accumulate(out, k, p if mult == 1 else p * mult)
+        image = (_act(rs, c, theta_letters(rs, mu)) if table is None
+                 else table[mu])
+        for k, p in image.terms.items():
+            _accumulate(out, k, p if mult == 1 else p * mult)
     return KClass(out)

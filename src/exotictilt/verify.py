@@ -314,7 +314,17 @@ def suite_module(rs: RootSystem, radius: int, seed: int = 0):
                     affweyl.order_leq_weights(rs, mu, lam),
                     f"delta support not below at {lam}: {mu}",
                 )
-    return [quad, sph, jformula, axioms, shadow, tri]
+
+    # the reflection steps of tensor_class against the theta sweep, on every
+    # weight of the box; the table is filled over the weights the steps
+    # reach from the box, so no box weight falls back to the sweep
+    lines = Report(f"line-bundle-recursion[{rs.spec}, radius {radius}]")
+    reached = closure(box, lambda lam: exotic_k._reflection_inputs(rs, lam)[1])
+    table = exotic_k._line_bundles(rs, reached)
+    for lam in box:
+        lines.check(table[lam] == exotic_k.line_bundle_class(rs, lam),
+                    f"reflection step != theta sweep at lam={lam}")
+    return [quad, sph, jformula, axioms, shadow, tri, lines]
 
 
 def suite_anchors(rs: RootSystem, radius: int, seed: int = 0):

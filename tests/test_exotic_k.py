@@ -4,10 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exotictilt import affweyl as aw, exotic_k as ek, heckebraid as hb
+from exotictilt import (affweyl as aw, charring as ch, exotic_k as ek,
+                        heckebraid as hb)
 from exotictilt.exotic_k import KClass
 from exotictilt.laurent import (LaurentPoly, ONE, VINV, VINV_MINUS_V,
                                 V_MINUS_VINV)
+
+from exotictilt.rootdata import build_root_system
 
 from conftest import get_rs
 
@@ -297,3 +300,68 @@ def test_bar_is_an_involution(spec, radius):
     for lam in aw.weight_box(rs, radius):
         m = KClass.basis(lam)
         assert _bar(rs, _bar(rs, m)) == m, lam
+
+
+# ---------------------------------------------------------------------------
+# Line bundles by reflection steps
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Count the theta sweeps the line-bundle table falls back to."""
+    calls = []
+    sweep = ek.line_bundle_class
+
+    def counted(rs, lam):
+        calls.append(lam)
+        return sweep(rs, lam)
+    monkeypatch.setattr(ek, "line_bundle_class", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ("A1", 4), ("A2", 3), ("B2", 3), ("G2", 2), ("A3", 2), ("B3", 1),
+    ("C3", 1), ("A1xA2", 1)])
+def test_line_bundle_table_matches_the_sweep_on_module_weights(spec, radius):
+    """On every weight of the Weyl module of each dominant lam the
+    reflection steps give m_0 . theta_mu, filled on a fresh root system."""
+    rs = build_root_system(spec)
+    for lam in aw.dominant_box(rs, radius):
+        weights = ch.module_weights(rs, lam)
+        table = ek._line_bundles(rs, weights)
+        for mu in weights:
+            assert table[mu] == ek.line_bundle_class(rs, mu), (lam, mu)
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2", "A1xA2"])
+def test_line_bundle_table_on_arbitrary_weight_tables(spec, sweeps):
+    """Weight tables that are not W-saturated reach the sweep, and the sum
+    from m_0 still equals the per-weight sum of sweeps."""
+    rs = build_root_system(spec)
+    rng = random.Random(17)
+    box = aw.weight_box(rs, 3)
+    m0 = ek.m0(rs)
+    for _ in range(8):
+        weights = {mu: rng.choice((0, 1, 2)) for mu in rng.sample(box, 6)}
+        got = ek.tensor_class(rs, weights, m0)
+        assert got == tensor_class_oracle(rs, weights, m0), weights
+    assert sweeps
+    for mu, cls in rs.memo("line_bundle").items():
+        assert cls == ek._act(rs, m0, hb.theta_letters(rs, mu)), mu
+
+
+def test_module_tables_make_no_sweep(sweeps):
+    """A G-module weight table is filled by reflection steps alone, and a
+    lone antidominant weight by exactly one sweep."""
+    for spec, lam in [("G2", (2, 2)), ("B3", (1, 1, 1))]:
+        rs = build_root_system(spec)
+        weights = ch.module_weights(rs, lam)
+        ek.tensor_class(rs, weights, ek.m0(rs))
+        assert set(weights) <= set(rs.memo("line_bundle"))
+        assert sweeps == [], spec
+    rs = build_root_system("B2")
+    ek.tensor_class(rs, {(-3, -3): 1}, ek.m0(rs))
+    assert sweeps == [(-3, -3)]
+    ek.tensor_class(rs, {(-3, -3): 2, (1, 0): 1}, ek.m0(rs))
+    assert sweeps == [(-3, -3)]
+

@@ -24,6 +24,8 @@ CALLS = {
     "k_gen_action": (lambda rs: ek._basis_gen_action(rs, (1, -2), 2, 1),
                      ((1, -2), 2, 1)),
     "delta_class": (lambda rs: ek.delta_class(rs, (-1, 1)), (-1, 1)),
+    "line_bundle": (lambda rs: ek._line_bundles(rs, [(1, -2)])[(1, -2)],
+                    (1, -2)),
     "kostant": (lambda rs: charring.kostant_partition(rs, (2, 2)), (2, 2)),
     "freudenthal": (lambda rs: charring._dominant_mult_table(rs, (2, 1)),
                     (2, 1)),

@@ -3,6 +3,7 @@ import pytest
 from exotictilt import (
     KClass, affweyl, build_root_system, cli, exotic_k, rootdata, verify,
 )
+from exotictilt.laurent import VINV_MINUS_V
 
 from conftest import get_rs
 
@@ -69,6 +70,21 @@ def test_anchors_suite_reports_a_rigged_line_bundle(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_root_system", lambda spec: rs)
     assert cli.run(["verify", "A1", "--suite", "anchors"]) == 1
     assert "line-bundle-anchors[A1, radius 2]: FAIL" in capsys.readouterr().out
+
+
+def test_module_suite_reports_a_rigged_reflection_step(capsys, monkeypatch):
+    """A wrong sign in the line-bundle reflection step fails only the
+    line-bundle-recursion report, and the CLI exits 1."""
+    monkeypatch.setattr(exotic_k, "V_MINUS_VINV", VINV_MINUS_V)
+    reports = verify.run_suites(build_root_system("A2"), "module", radius=2)
+    failed = [r for r in reports if not r.passed]
+    assert [r.name for r in failed] == ["line-bundle-recursion[A2, radius 2]"]
+    assert failed[0].checked == 25 and "lam=(" in failed[0].failures[0]
+
+    monkeypatch.setattr(cli, "build_root_system", build_root_system)
+    assert cli.run(["verify", "A2", "--suite", "module"]) == 1
+    assert "line-bundle-recursion[A2, radius 2]: FAIL" in \
+        capsys.readouterr().out
 
 
 @pytest.mark.parametrize("spec,radius", [("A3", 2), ("B3", 1), ("C3", 1)])
