@@ -174,17 +174,6 @@ def reduced_word(rs: RootSystem, x: AffineElement):
     return cur, tuple(reversed(letters))
 
 
-def omega_decompose(rs: RootSystem, x: AffineElement):
-    """x = omega * u with len(omega) = 0 and u in W_aff^Cox: omega is the
-    element of Omega in the Z.Phi-class of x.t, since u has translation in
-    Z.Phi."""
-    omega = omega_of_weight(rs, x.t)
-    u = aff_mul(rs, aff_inv(rs, omega), x)
-    if rs.root_coords_int(u.t) is None:
-        raise AssertionError(f"omega_decompose({x}): u has a translation outside Z.Phi")
-    return omega, u
-
-
 def coset_class_key(rs: RootSystem, lam: Weight):
     """Canonical key of the class of lam in X / Z.Phi: det A times its
     simple-root coordinates, modulo det A."""
@@ -231,24 +220,25 @@ def bruhat_leq(rs: RootSystem, x: AffineElement, y: AffineElement) -> bool:
     Z.Phi-classes, are incomparable."""
     if coset_class_key(rs, x.t) != coset_class_key(rs, y.t):
         return False
-    return _bruhat_cox(rs, omega_decompose(rs, x)[1], omega_decompose(rs, y)[1])
+    return _bruhat_walk(rs, x, y)
 
 
-def _bruhat_cox(rs, u, w) -> bool:
-    """u <= w in W_aff^Cox by the lifting property (Bjorner-Brenti, GTM 231,
-    Prop. 2.2.7): with s a right descent of w, compare u*s with w*s when s
-    also descends u, and u with w*s otherwise.  Each step shortens w, so the
-    walk is a loop; every pair it passes gets the final answer."""
+def _bruhat_walk(rs, u, w) -> bool:
+    """u <= w for u, w in one Omega-component by the lifting property
+    (Bjorner-Brenti, GTM 231, Prop. 2.2.7): with s a right descent of w,
+    compare u*s with w*s when s also descends u, and u with w*s otherwise.
+    A left factor in Omega changes no descent, step or length, so the walk
+    needs no Omega split; its one length-0 element lies below all.  Each
+    step shortens w; every W_aff pair passed is memoized with the answer."""
     memo = rs.memo("bruhat")
     order = generator_order(rs)
-    ident = identity(rs)
     lu, lw = aff_length(rs, u), aff_length(rs, w)
     walked = []
     while True:
-        if u == w or u == ident:
+        if u == w or lu == 0:
             res = True
             break
-        if lu > lw or lw == 0:
+        if lu > lw:
             res = False
             break
         res = memo.get((u, w))

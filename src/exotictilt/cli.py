@@ -9,7 +9,9 @@ Data syntax:
   * character files: JSON {"basis": "Weyl"|"good",
                            "mults": [{"weight": [...], "count": n}, ...]}.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error or
+out of memory, 141 stdout closed by its reader (the status a shell reports
+after SIGPIPE).
 A JSON cache of Kostant partition tables can be supplied with --cache; a
 cache that is stale, unreadable or undecodable is ignored, and one that
 cannot be written exits 2.
@@ -554,11 +556,23 @@ def run(argv) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     return code
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Python's documented recipe: point
+        # stdout at devnull, so the flush at exit does not fail again, and
+        # exit with the status a shell reports after SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -180,21 +180,18 @@ def _line_bundles(rs, weights) -> dict:
 
 
 def tensor_class(rs, weights: dict, c: KClass) -> KClass:
-    """c acted by sum_mu dim(V_mu) theta_mu for a G-module weight table.
-
-    For c = m_0 each image m_0 . theta_mu = [O(mu)] is read off the
-    line-bundle table of _line_bundles.  Any other c is swept through the
-    letters of each theta_mu: the reflection step rests on m_0 . T_s lying
-    in Z[v,v^-1] m_0, which fails for other classes.  Only tests pass
-    another c."""
+    """m_0 acted by sum_mu dim(V_mu) theta_mu for a G-module weight table:
+    each image m_0 . theta_mu = [O(mu)] is read off the line-bundle table of
+    _line_bundles.  c must be m_0, since the reflection step rests on
+    m_0 . T_s lying in Z[v,v^-1] m_0."""
+    if c != m0(rs):
+        raise ValueError("tensor_class starts from m_0 only")
     if any(mult < 0 for mult in weights.values()):
         raise ValueError("weight multiplicities must be nonnegative")
     weights = {mu: mult for mu, mult in weights.items() if mult}
-    table = _line_bundles(rs, weights) if c == m0(rs) else None
+    table = _line_bundles(rs, weights)
     out = {}
     for mu, mult in weights.items():
-        image = (_act(rs, c, theta_letters(rs, mu)) if table is None
-                 else table[mu])
-        for k, p in image.terms.items():
+        for k, p in table[mu].terms.items():
             _accumulate(out, k, p if mult == 1 else p * mult)
     return KClass(out)

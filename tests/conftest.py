@@ -19,15 +19,20 @@ def get_rs(spec):
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
+def child_env():
+    """os.environ with this checkout's src put first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_python(*argv, **kwargs):
     """Run `python argv` in a child process that imports this checkout's
     src, whatever PYTHONPATH the parent has.  Extra keyword arguments go to
     subprocess.run."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv],
-                          capture_output=True, text=True, env=env, **kwargs)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=child_env(), **kwargs)
 
 
 def run_cli_process(*argv, **kwargs):

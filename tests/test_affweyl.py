@@ -90,24 +90,32 @@ def test_generators_regenerate_length_ball(a2):
     assert counts[0] == 1 and counts[1] == 3
 
 
+def cox_part(rs, x):
+    """u in x = omega u, with omega = omega_of_weight(x.t) of length 0; u
+    must have its translation in Z.Phi, so lie in W_aff^Cox."""
+    u = aw.aff_mul(rs, aw.aff_inv(rs, aw.omega_of_weight(rs, x.t)), x)
+    assert rs.root_coords_int(u.t) is not None, x
+    return u
+
+
 def test_omega_decompose_examples(a1, a2):
-    om, u = aw.omega_decompose(a1, aw.t_lambda(a1, (1,)))
+    om = aw.omega_of_weight(a1, (1,))
     assert aw.aff_length(a1, om) == 0 and om.t == (-1,)
-    assert u == aw.simple_generators(a1)[1]
     s = aw.simple_generators(a1)[1]
-    om2, u2 = aw.omega_decompose(a1, s)
-    assert om2 == aw.identity(a1) and u2 == s
-    om3, u3 = aw.omega_decompose(a2, aw.t_lambda(a2, (1, 0)))
-    assert aw.aff_length(a2, om3) == 0
-    assert aw.aff_length(a2, u3) == aw.aff_length(a2, aw.t_lambda(a2, (1, 0)))
+    assert cox_part(a1, aw.t_lambda(a1, (1,))) == s
+    assert aw.omega_of_weight(a1, s.t) == aw.identity(a1)
+    assert cox_part(a1, s) == s
+    t = aw.t_lambda(a2, (1, 0))
+    assert aw.aff_length(a2, aw.omega_of_weight(a2, t.t)) == 0
+    assert aw.aff_length(a2, cox_part(a2, t)) == aw.aff_length(a2, t)
     assert len(aw.omega_elements(a2)) == 3
 
 
 @pytest.mark.parametrize("spec", [
     "A1", "A2", "A3", "B2", "G2", "D4", "E6", "A1xA2"])
 def test_omega_decompose_matches_the_reduced_word(spec):
-    """The Omega-part read off the translation's Z.Phi-class is the
-    length-0 prefix that greedy descent stripping leaves, on random
+    """The Omega-part of x = omega u, read off the translation's Z.Phi-class,
+    is the length-0 prefix that greedy descent stripping leaves, on random
     elements omega t_lam s_1 ... s_k with omega over all of Omega."""
     rs = get_rs(spec)
     rng = random.Random(spec)
@@ -120,8 +128,7 @@ def test_omega_decompose_matches_the_reduced_word(spec):
         for _ in range(rng.randint(0, 6)):
             x = aw.aff_mul(rs, x, gens[rng.choice(list(gens))])
         om = aw.reduced_word(rs, x)[0]
-        assert aw.omega_decompose(rs, x) == (
-            om, aw.aff_mul(rs, aw.aff_inv(rs, om), x)), x
+        assert om == aw.omega_of_weight(rs, x.t), x
         parts.add(om)
     assert len(parts) == rs.cartan_det
 
@@ -231,7 +238,7 @@ def test_bruhat_memo_matches_subword_property():
     omega' w iff omega = omega' and u <= w.  On the length balls of radius 4
     in W_aff^Cox of A2 and G2 and radius 3 in D4, where a walk to `false`
     can take several steps, times every pair of Omega elements, every pair
-    the walks memoize has that answer."""
+    (omega u, omega w) the walks memoize has the answer for u <= w."""
     for spec, radius in (("A2", 4), ("G2", 4), ("D4", 3)):
         rs = build_root_system(spec)    # an empty bruhat memo
         gens = aw.simple_generators(rs)
@@ -255,7 +262,8 @@ def test_bruhat_memo_matches_subword_property():
                         ) == (expect and ou == ow), spec
         memo = rs.memo("bruhat")
         assert any(not res for res in memo.values()), spec
-        assert all(res == (u in below[w]) for (u, w), res in memo.items())
+        assert all(res == (cox_part(rs, u) in below[cox_part(rs, w)])
+                   for (u, w), res in memo.items())
 
 
 def test_w_lambda_examples(a1):

@@ -1,11 +1,13 @@
 import io
 import json
 import resource
+import subprocess
+import sys
 import time
 
 import pytest
 
-from conftest import run_cli_process
+from conftest import child_env, run_cli_process
 from exotictilt import affweyl, build_root_system, cli
 
 
@@ -480,10 +482,38 @@ def _cap_address_space():
                        (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
+def test_out_of_memory_exits_2():
+    """tilt dominant B3 (8,8,8) needs more than 150 MB of address space;
+    capped at 64 MB, the MemoryError ends in one error line and exit 2."""
+    cap = 64 << 20
+    proc = run_cli_process(
+        "tilt", "dominant", "B3", "[8,8,8]", timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_141_quietly():
+    """A reader that closes stdout after 20 bytes of a 1.6 MB answer, as
+    `| head -c 20` does: the CLI exits 141, the status a shell reports
+    after SIGPIPE, with nothing on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "exotictilt.cli", "tilt", "dominant", "B3",
+         "[5,5,5]"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141, err
+    assert len(head) == 20 and err == b""
+
+
 def _timed_cli(*argv, timeout):
     """Run the CLI in a child process whose address space is capped at
-    512 MB, so a command that allocates far more fails with a traceback
-    instead of loading the host."""
+    512 MB, so a command that allocates far more fails with exit 2 instead
+    of loading the host."""
     start = time.perf_counter()
     proc = run_cli_process(*argv, timeout=timeout,
                            preexec_fn=_cap_address_space)

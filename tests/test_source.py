@@ -154,13 +154,18 @@ def test_no_dead_locals():
 
 
 # (module, function) -> names the function must not call: the K-module's
-# basis action steps t_lam, not the minimal coset representative w_lam, and
-# an Omega-part is read off the translation's Z.Phi-class, with no reduced
-# word of the element and no Omega closure.
+# basis action steps t_lam, not the minimal coset representative w_lam; an
+# Omega-part is read off the translation's Z.Phi-class, with no Omega
+# closure; the Bruhat walk runs inside one Omega-component, with no Omega
+# split; and tensor_class reads line bundles off their table, with no theta
+# sweep.
+NO_OMEGA_SPLIT = {"omega_of_weight", "aff_inv", "reduced_word"}
 REPLACED_CALLS = {
     ("exotic_k.py", "_basis_gen_action"): {"w_lambda", "dominant_rep"},
     ("exotic_k.py", "_basis_omega_action"): {"w_lambda", "dominant_rep"},
-    ("affweyl.py", "omega_decompose"): {"reduced_word"},
+    ("exotic_k.py", "tensor_class"): {"theta_letters", "_act"},
+    ("affweyl.py", "bruhat_leq"): NO_OMEGA_SPLIT,
+    ("affweyl.py", "_bruhat_walk"): NO_OMEGA_SPLIT,
     ("cli.py", "parse_omega_arg"): {"omega_elements"},
 }
 
