@@ -159,19 +159,22 @@ def reduced_word(rs: RootSystem, x: AffineElement):
     """(omega, word): x = omega * s_{word[0]} ... s_{word[-1]} with
     len(word) == len(x) and len(omega) == 0.
 
-    Greedy right-descent stripping; of the right descents, the first in
-    generator_order is taken.
+    Greedy right-descent stripping, taking the first right descent in
+    generator_order.  The choice depends on the element alone, so the walk
+    stops at the first element whose word is already memoised.
     """
+    memo = rs.memo("reduced_word")
     order = generator_order(rs)
     letters = []
     cur = x
-    while True:
+    while cur not in memo:
         gid = next((g for g in order if descends(rs, cur, g)), None)
         if gid is None:     # no right descent: cur has length 0
-            break
+            return cur, tuple(reversed(letters))
         letters.append(gid)
         cur = gen_step(rs, cur, gid)[0]
-    return cur, tuple(reversed(letters))
+    omega, word = memo[cur]
+    return omega, word + tuple(reversed(letters))
 
 
 def coset_class_key(rs: RootSystem, lam: Weight):

@@ -89,8 +89,8 @@ def parse_element(rs: RootSystem, text: str) -> AffineElement:
 
 
 def parse_omega_arg(rs: RootSystem, text: str) -> AffineElement:
-    if text == "e":
-        return affweyl.identity(rs)
+    """A length-0 element: "omega", the one nontrivial element of Omega, or
+    any element text of length 0, such as "e" or "o[...]"."""
     if text == "omega":
         # |Omega| = det A, so a unique nontrivial element needs det A = 2
         if rs.cartan_det != 2:
@@ -99,8 +99,6 @@ def parse_omega_arg(rs: RootSystem, text: str) -> AffineElement:
             )
         return affweyl.omega_of_weight(rs, next(
             f for f in rs.identity_matrix if any(affweyl.coset_class_key(rs, f))))
-    if text.startswith("o[") and text.endswith("]"):
-        return affweyl.omega_of_weight(rs, parse_weight(rs, text[1:]))
     x = parse_element(rs, text)
     if affweyl.aff_length(rs, x) != 0:
         raise CliError(f"element {_shown(text)} does not have length 0")
@@ -161,11 +159,15 @@ def weight_str(lam) -> str:
 
 def element_str(rs: RootSystem, x: AffineElement) -> str:
     omega, word = affweyl.reduced_word(rs, x)
-    parts = []
-    if omega != affweyl.identity(rs):
-        parts.append("o" + weight_str(omega.t))
+    return _word_str(omega.t, word)
+
+
+def _word_str(omega_t, word) -> str:
+    """The text of omega * s_{word[0]} * ...; omega is named by its
+    translation, which is 0 only for the identity."""
+    parts = ["o" + weight_str(omega_t)] if any(omega_t) else []
     parts.extend(f"s{gid}" for gid in word)
-    return " ".join(parts) if parts else "e"
+    return " ".join(parts) or "e"
 
 
 def element_json(x: AffineElement) -> dict:
@@ -181,38 +183,34 @@ def _coef_prefix(p: LaurentPoly) -> str:
     return f"{s}*"
 
 
+def _hecke_terms(rs: RootSystem, xi: HeckeElement) -> list:
+    """(x, reduced-word text, coefficient) for each term of xi, sorted by
+    length, then Omega-part, then word.  The words are asked in increasing
+    length, so each greedy walk stops at the memoised word of a shorter
+    term."""
+    keyed = []
+    for x in sorted(xi.terms, key=lambda x: affweyl.aff_length(rs, x)):
+        omega, word = affweyl.reduced_word(rs, x)
+        keyed.append((len(word), omega.t, word, x))
+    keyed.sort()
+    return [(x, _word_str(t, word), xi.terms[x]) for _, t, word, x in keyed]
+
+
 def hecke_str(rs: RootSystem, xi: HeckeElement) -> str:
-    if not xi.terms:
-        return "0"
-    items = sorted(
-        xi.terms.items(),
-        key=lambda kv: _hecke_sort_key(rs, kv[0]),
-    )
-    return " + ".join(
-        f"{_coef_prefix(p)}T[{element_str(rs, x)}]" for x, p in items
-    )
-
-
-def _hecke_sort_key(rs, x):
-    omega, word = affweyl.reduced_word(rs, x)
-    return (affweyl.aff_length(rs, x), omega.t, word)
+    return " + ".join(f"{_coef_prefix(p)}T[{text}]"
+                      for _, text, p in _hecke_terms(rs, xi)) or "0"
 
 
 def hecke_json(rs: RootSystem, xi: HeckeElement) -> list:
-    items = sorted(xi.terms.items(), key=lambda kv: _hecke_sort_key(rs, kv[0]))
-    return [
-        {"element": element_json(x), "word": element_str(rs, x), "poly": p.pairs()}
-        for x, p in items
-    ]
+    return [{"element": element_json(x), "word": text, "poly": p.pairs()}
+            for x, text, p in _hecke_terms(rs, xi)]
 
 
 def kclass_str(c: KClass) -> str:
-    if not c.terms:
-        return "0"
     return " + ".join(
         f"{_coef_prefix(p)}m{weight_str(w)}"
         for w, p in sorted(c.terms.items(), reverse=True)
-    )
+    ) or "0"
 
 
 def kclass_json(c: KClass) -> list:
@@ -301,58 +299,56 @@ def save_cache(rs: RootSystem, path, loaded: int):
 # Commands
 
 
-def _emit(args, text_form, json_form):
-    print(json.dumps(json_form, sort_keys=True) if args.json else text_form)
+def _emit(args, text, doc):
+    """Print one form of a result: doc() as canonical JSON under --json,
+    text() otherwise.  Both are zero-argument builders, so the form that is
+    not printed is never built."""
+    print(json.dumps(doc(), sort_keys=True) if args.json else text())
 
 
 def cmd_rootinfo(rs, args):
-    pos = [list(r.coords) for r in rs.positive_roots]
-    comps = [
-        {"indices": [i + 1 for i in idx], "highest_root": list(h.coords)}
-        for idx, h in rs.components
-    ]
-    doc = {
+    _emit(args, lambda: (
+        f"{rs.spec}: rank {rs.rank}, {len(rs.positive_roots)} positive "
+        f"roots, |W| = {rs.weyl_order()}, |Omega| = {rs.cartan_det}"
+    ), lambda: {
         "spec": rs.spec,
         "rank": rs.rank,
         "cartan_matrix": [list(r) for r in rs.cartan_matrix],
-        "positive_roots": pos,
+        "positive_roots": [list(r.coords) for r in rs.positive_roots],
         "weyl_order": rs.weyl_order(),
         "omega_order": rs.cartan_det,   # |Omega| = |X / Z.Phi| = det A
-        "components": comps,
-    }
-    text = (
-        f"{rs.spec}: rank {rs.rank}, {len(pos)} positive roots, "
-        f"|W| = {doc['weyl_order']}, |Omega| = {doc['omega_order']}"
-    )
-    _emit(args, text, doc)
+        "components": [
+            {"indices": [i + 1 for i in idx], "highest_root": list(h.coords)}
+            for idx, h in rs.components
+        ],
+    })
     return 0
 
 
 def cmd_length(rs, args):
     x = parse_element(rs, args.element)
     ll = affweyl.aff_length(rs, x)
-    _emit(args, str(ll), {"element": element_json(x), "length": ll})
+    _emit(args, lambda: str(ll),
+          lambda: {"element": element_json(x), "length": ll})
     return 0
 
 
 def cmd_reduced(rs, args):
     x = parse_element(rs, args.element)
     omega, word = affweyl.reduced_word(rs, x)
-    text = element_str(rs, x)
-    doc = {
+    _emit(args, lambda: _word_str(omega.t, word), lambda: {
         "omega": element_json(omega),
         "word": [f"s{g}" for g in word],
         "length": len(word),
-    }
-    _emit(args, text, doc)
+    })
     return 0
 
 
 def cmd_wlambda(rs, args):
     lam = parse_weight(rs, args.weight)
     elt, delta = affweyl.w_lambda(rs, lam)
-    text = f"w_lambda = {element_str(rs, elt)}, delta = {delta}"
-    _emit(args, text, {"element": element_json(elt), "delta": delta})
+    _emit(args, lambda: f"w_lambda = {element_str(rs, elt)}, delta = {delta}",
+          lambda: {"element": element_json(elt), "delta": delta})
     return 0
 
 
@@ -360,7 +356,7 @@ def cmd_bruhat(rs, args):
     x = parse_element(rs, args.x)
     y = parse_element(rs, args.y)
     res = affweyl.bruhat_leq(rs, x, y)
-    _emit(args, "true" if res else "false", {"leq": res})
+    _emit(args, lambda: "true" if res else "false", lambda: {"leq": res})
     return 0
 
 
@@ -368,14 +364,13 @@ def cmd_hecke_mul(rs, args):
     xi = HeckeElement.basis(parse_element(rs, args.x))
     eta = HeckeElement.basis(parse_element(rs, args.y))
     prod = heckebraid.hecke_mul(rs, xi, eta)
-    _emit(args, hecke_str(rs, prod), hecke_json(rs, prod))
+    _emit(args, lambda: hecke_str(rs, prod), lambda: hecke_json(rs, prod))
     return 0
 
 
 def cmd_theta(rs, args):
-    lam = parse_weight(rs, args.weight)
-    th = heckebraid.theta(rs, lam)
-    _emit(args, hecke_str(rs, th), hecke_json(rs, th))
+    th = heckebraid.theta(rs, parse_weight(rs, args.weight))
+    _emit(args, lambda: hecke_str(rs, th), lambda: hecke_json(rs, th))
     return 0
 
 
@@ -393,7 +388,7 @@ def cmd_kclass(rs, args):
         omega = parse_omega_arg(rs, args.args[0])
         seq = [parse_generator(rs, token) for token in args.args[1:]]
         c = exotic_k.bott_samelson_class(rs, omega, seq)
-    _emit(args, kclass_str(c), kclass_json(c))
+    _emit(args, lambda: kclass_str(c), lambda: kclass_json(c))
     return 0
 
 
@@ -401,7 +396,7 @@ def cmd_qanalogue(rs, args):
     lam = parse_weight(rs, args.lam)
     mu = parse_weight(rs, args.mu)
     p = charring.lusztig_q(rs, lam, mu)
-    _emit(args, str(p), p.pairs())
+    _emit(args, lambda: str(p), p.pairs)
     return 0
 
 
@@ -409,7 +404,7 @@ def cmd_gamma(rs, args):
     lam = parse_weight(rs, args.lam)
     nu = parse_weight(rs, args.nu)
     p = tiltmult.gamma_graded_char(rs, lam, nu)
-    _emit(args, str(p), p.pairs())
+    _emit(args, lambda: str(p), p.pairs)
     return 0
 
 
@@ -419,45 +414,37 @@ def cmd_tilt(rs, args):
         mu = parse_weight(rs, args.weight)
         fn = tiltmult.std_mult if args.kind == "std" else tiltmult.costd_mult
         p = fn(rs, cm, mu)
-        _emit(args, str(p), p.pairs())
+        _emit(args, lambda: str(p), p.pairs)
         return 0
     # dominant
     lam = parse_weight(rs, args.weight)
     tilt_char = load_character(rs, args.tilt_char) if args.tilt_char else None
     c = tiltmult.dominant_tilting_class(rs, lam, tilt_char)
-    _emit(args, kclass_str(c), kclass_json(c))
+    _emit(args, lambda: kclass_str(c), lambda: kclass_json(c))
     return 0
 
 
 def cmd_reconcile(rs, args):
     cm = load_character(rs, args.charfile)
     rep = tiltmult.reconcile(rs, cm)
-    doc = {"status": rep.status, "detail": rep.detail}
-    text = rep.status if rep.matched else (
+    _emit(args, lambda: rep.status if rep.matched else (
         "mismatch at " + ", ".join(str(d["weight"]) for d in rep.detail)
-    )
-    _emit(args, text, doc)
+    ), lambda: {"status": rep.status, "detail": rep.detail})
     return 0 if rep.matched else 1
 
 
 def cmd_verify(rs, args):
     reports = verify.run_suites(rs, args.suite, args.radius, args.seed)
-    ok = all(r.passed for r in reports)
-    if args.json:
-        doc = [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "checked": r.checked,
-                "failures": r.failures[:10],
-            }
-            for r in reports
-        ]
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        for r in reports:
-            print(r.summary())
-    return 0 if ok else 1
+    _emit(args, lambda: "\n".join(r.summary() for r in reports), lambda: [
+        {
+            "name": r.name,
+            "passed": r.passed,
+            "checked": r.checked,
+            "failures": r.failures[:10],
+        }
+        for r in reports
+    ])
+    return 0 if all(r.passed for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------

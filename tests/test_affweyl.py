@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exotictilt import affweyl as aw
-from exotictilt import build_root_system
+from exotictilt import build_root_system, cli, heckebraid
 
 from conftest import IRREDUCIBLE_UP_TO_RANK_8, PRODUCTS, get_rs
 
@@ -185,6 +185,57 @@ def test_reduced_word_roundtrip(data):
     for gid in word:
         back = aw.aff_mul(rs, back, gens[gid])
     assert back == x
+
+
+def greedy_suffix(rs, x, steps):
+    """x s_g ... : up to `steps` greedy right-descent steps from x."""
+    for _ in range(steps):
+        gid = next((g for g in aw.generator_order(rs) if aw.descends(rs, x, g)),
+                   None)
+        if gid is None:
+            break
+        x = aw.gen_step(rs, x, gid)[0]
+    return x
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2", "A3", "A1xA2", "D4"])
+def test_reduced_word_reuses_memoised_words(spec):
+    """A walk that stops at a memoised word keeps the greedy word: after
+    the words of random elements and of greedy suffixes of the elements
+    tested next are memoised, each tested word equals a fresh root
+    system's."""
+    rng = random.Random(spec)
+    rs = build_root_system(spec)
+    weyl = rs.weyl_group()
+
+    def element():
+        lam = tuple(rng.randint(-4, 4) for _ in range(rs.rank))
+        return aw.AffineElement(rng.choice(weyl).matrix, lam)
+    tested = [element() for _ in range(40)]
+    primed = [element() for _ in range(20)]
+    primed += [greedy_suffix(rs, x, rng.randint(1, 5)) for x in tested]
+    rng.shuffle(primed)
+    for x in primed:
+        aw.reduced_word(rs, x)
+    for x in tested:
+        assert aw.reduced_word(rs, x) == aw.reduced_word(
+            build_root_system(spec), x), x
+
+
+def test_rendering_theta_steps_once_per_term(monkeypatch):
+    """The CLI renders a Hecke element by asking its terms' words in
+    increasing length, so each greedy walk stops at a shorter term's word:
+    theta_(-3,-3) in G2 has 2304 terms, and one walk per term would make
+    67464 generator steps."""
+    rs = build_root_system("G2")
+    th = heckebraid.theta(rs, (-3, -3))
+    assert len(th.terms) == 2304
+    calls = []
+    step = aw.gen_step
+    monkeypatch.setattr(aw, "gen_step",
+                        lambda *args: calls.append(args) or step(*args))
+    cli.hecke_str(rs, th)
+    assert 0 < len(calls) <= len(th.terms)
 
 
 def test_bruhat_examples(a1):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import resource
@@ -162,6 +163,74 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert code == 1 and "counterexample" in out
 
 
+LAZY_CASES = [
+    ("theta", "G2", "[-2,-2]"),
+    ("hecke-mul", "A2", "s1", "s2"),
+    ("kclass", "line", "A2", "[-1,-1]"),
+    ("tilt", "dominant", "A2", "[1,1]"),
+    ("verify", "A1", "--radius", "0"),
+]
+
+
+def _unprinted_form(*args):
+    raise AssertionError("built the form that is not printed")
+
+
+@pytest.mark.parametrize("flags, unprinted", [
+    ((), ("hecke_json", "kclass_json")),
+    (("--json",), ("hecke_str", "kclass_str")),
+], ids=["text", "json"])
+def test_only_the_printed_form_is_built(capsys, monkeypatch, flags, unprinted):
+    for name in unprinted:
+        monkeypatch.setattr(cli, name, _unprinted_form)
+    for argv in LAZY_CASES:
+        code, out, err = run_cli(capsys, *argv, *flags)
+        assert (code, err) == (0, "") and out, argv
+
+
+# sha256 of stdout without and with --json, recorded from the renderer that
+# built both forms and walked each term's reduced word alone.
+GOLDEN = {
+    ("theta", "G2", "[-3,-3]"): (
+        "a0e089598473598688c8c617ee83cad968ea360a68c62988278fd525a90c7ce5",
+        "2488dd20dd81e8816eedda6fb4a9a3cb1fa773cf8c611fad4a11858fab262616"),
+    ("hecke-mul", "A2", "t[3,3]", "t[-3,-3]"): (
+        "0dde91904c3a1851314d965f2f113bc991757951de75e87f7bba5cd27893d566",
+        "bc1ead8339615c04eeea0c5a9742299dc860c174ecac8ab637f0d0ada9c04e56"),
+    ("hecke-mul", "A2", "o[1,0]", "s0"): (
+        "88240359f0bf24b3d8c989159bbbaa5650c1f480471e18f9903d1a192b55abac",
+        "b5a5e7ac3967992c944c3cba90a70850a2b7c5bfb3ee1a46cf10d9b865d7f086"),
+    ("tilt", "dominant", "B3", "[2,2,2]"): (
+        "c2c90562bdbd600a31d3c8ecf980a96e9274341fd2ad1aeb6a3b70588ecd38f7",
+        "2012d89540d7cb3c7bafd90c6df3f477d0033c4009d321abf795e295368e4ab9"),
+    ("kclass", "line", "G2", "[-4,-4]"): (
+        "5c1c7bc0215639c891190330112561d6cb550b8413f95b2e31bb3508d1a81e99",
+        "12e2610965ed747825fa97cb1dfc5c1a2fed5cd7b4af0ea383902ecb6ceaf810"),
+    ("kclass", "delta", "G2", "[3,-5]"): (
+        "984b42cae70f56b1400397ae579dd4f111f6e732f2691a1e316fc92c1e651897",
+        "d22d36720667d78e0da1d8d58e44b03ec7796785eb7a4f27923a7a18eabe8909"),
+    ("kclass", "bs", "A2", "o[1,0]", "s1", "s0"): (
+        "d38f8cda02c5598436d52feb0e8823360e1939e1a0b7e21c7de6465936d1a01e",
+        "5aba2f538c5bb4b31795501c471d96032c73efdd4a24780b8135e7645e6e17ae"),
+    ("reduced", "G2", "t[30,-40]"): (
+        "66d4cec70cd048a4cea091aa727f6c471b490c561a2a08862b0137f362886daf",
+        "28e5ad14f7243e6e14be4ddfd7ec27d77042d6cf0084f0d282e611a5eafaf853"),
+    ("verify", "A1", "--radius", "1"): (
+        "4bc6a841b60f5e9196a1eba6c691d59eada744b9f800787bac489a1a45f05017",
+        "e1eeeee75e9966fe933872f8336bf24cb82c5fbc61ae6668eb47c0499a4bd3c3"),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_golden_outputs(capsys, argv):
+    digests = []
+    for flags in ((), ("--json",)):
+        assert cli.run([*argv, *flags]) == 0
+        out = capsys.readouterr().out
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == GOLDEN[argv]
+
+
 def test_json_roundtrip(capsys):
     """Parsing emitted JSON and recomputing yields byte-identical documents."""
     cases = [
@@ -221,6 +290,14 @@ def test_bott_samelson_with_a_huge_omega_weight():
                            timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "(v + v^-1)*m[0,-1]"
+
+
+def test_bott_samelson_start_is_any_length_0_element(capsys):
+    """The start of kclass bs is read as element text: in A2 the product
+    o[1,0]*o[1,0] is o[0,1], since 2 omega_1 = omega_2 mod Z.Phi."""
+    for start in ("o[1,0]*o[1,0]", "o[0,1]"):
+        code, out, _ = run_cli(capsys, "kclass", "bs", "A2", start, "s1")
+        assert (code, out) == (0, "m[1,-1] + v*m[-1,0]"), start
 
 
 def _omega_from_the_closure(rs):
@@ -483,8 +560,9 @@ def _cap_address_space():
 
 
 def test_out_of_memory_exits_2():
-    """tilt dominant B3 (8,8,8) needs more than 150 MB of address space;
-    capped at 64 MB, the MemoryError ends in one error line and exit 2."""
+    """tilt dominant B3 (8,8,8) needs more than 100 MB of address space in
+    text form, and more than 200 MB with --json; capped at 64 MB, the
+    MemoryError ends in one error line and exit 2."""
     cap = 64 << 20
     proc = run_cli_process(
         "tilt", "dominant", "B3", "[8,8,8]", timeout=60,

@@ -157,9 +157,11 @@ def test_no_dead_locals():
 # basis action steps t_lam, not the minimal coset representative w_lam; an
 # Omega-part is read off the translation's Z.Phi-class, with no Omega
 # closure; the Bruhat walk runs inside one Omega-component, with no Omega
-# split; and tensor_class reads line bundles off their table, with no theta
-# sweep.
+# split; tensor_class reads line bundles off their table, with no theta
+# sweep; and the Hecke renderers read one shared term list, asking no word
+# or length of their own, directly, through element_str or a sort key.
 NO_OMEGA_SPLIT = {"omega_of_weight", "aff_inv", "reduced_word"}
+SHARED_TERMS = {"reduced_word", "aff_length", "element_str", "_hecke_sort_key"}
 REPLACED_CALLS = {
     ("exotic_k.py", "_basis_gen_action"): {"w_lambda", "dominant_rep"},
     ("exotic_k.py", "_basis_omega_action"): {"w_lambda", "dominant_rep"},
@@ -167,6 +169,8 @@ REPLACED_CALLS = {
     ("affweyl.py", "bruhat_leq"): NO_OMEGA_SPLIT,
     ("affweyl.py", "_bruhat_walk"): NO_OMEGA_SPLIT,
     ("cli.py", "parse_omega_arg"): {"omega_elements"},
+    ("cli.py", "hecke_str"): SHARED_TERMS,
+    ("cli.py", "hecke_json"): SHARED_TERMS,
 }
 
 
@@ -183,3 +187,16 @@ def test_replaced_calls_stay_gone():
                       isinstance(node, ast.Attribute) and node.attr in banned)]
     assert seen == set(REPLACED_CALLS), seen
     assert not found, found
+
+
+def test_commands_print_only_through_emit():
+    """Every cli command prints through _emit, which builds only the form
+    asked for, text or JSON."""
+    commands, found = set(), []
+    for path, fn in _functions():
+        if path.name != "cli.py" or not fn.name.startswith("cmd_"):
+            continue
+        commands.add(fn.name)
+        found += [f"cli.py:{node.lineno} {fn.name}" for node in ast.walk(fn)
+                  if isinstance(node, ast.Name) and node.id == "print"]
+    assert len(commands) >= 13 and not found, (commands, found)
