@@ -19,9 +19,9 @@ v m_lam.  T_omega moves m_lam to m_mu, mu the translation of t_lam omega.
 The ``anchors`` suite of ``verify`` checks this case split against
 w_lambda, and the ``module`` suite checks the rule.
 
-Derived classes: nabla: m_lam itself; delta: m_0 acted by the inverse of
-T_{w_lam^{-1}}; line bundles: m_0 . theta_lam; Bott-Samelson tilting classes:
-m_0 . T_omega (T_{s_r}+v) ... (T_{s_1}+v), the innermost factor acting first.
+Derived classes: nabla: m_lam; delta: Delta^mu . T_s^-1 for lam descending
+at s to mu, m_lam on the Omega-orbit of 0; line bundles: m_0 . theta_lam;
+Bott-Samelson: m_0 . T_omega (T_{s_r}+v) ... (T_{s_1}+v), innermost first.
 
 Line bundles by reflection.  For a finite simple reflection s = s_alpha,
 Lusztig's Bernstein relation (J. AMS 2, 1989, Prop. 3.6) reads
@@ -50,10 +50,9 @@ from __future__ import annotations
 from .laurent import (Combination, LaurentPoly, V, VINV, V_MINUS_VINV,
                       _accumulate)
 from .rootdata import RootSystem, Weight, memoized
-from . import affweyl
-from .heckebraid import (BraidWord, _step, act, act_element, theta_letters,
-                         word_letters)
-from .affweyl import AffineElement, aff_length, aff_mul, t_lambda
+from .heckebraid import BraidWord, _step, act, act_element, theta_letters
+from .affweyl import (AffineElement, aff_length, aff_mul, generator_order,
+                      t_lambda)
 
 
 KClass = Combination   # linear combinations of basis classes m_lam
@@ -107,12 +106,25 @@ def nabla_class(rs, lam: Weight) -> KClass:
     return KClass.basis(tuple(lam))
 
 
+def _descent(rs, lam: Weight):
+    """(gid, mu) for the first s in generator_order with m_lam . T_s = m_mu +
+    (v^-1 - v) m_lam, so m_mu . T_s = m_lam; None on the Omega-orbit of 0."""
+    for gid in generator_order(rs):
+        terms = _basis_gen_action(rs, lam, gid, 1)
+        if len(terms) == 2:
+            return gid, terms[0][0]
+
+
 @memoized("delta_class")
 def delta_class(rs, lam: Weight) -> KClass:
-    """[Delta^lam] = m_0 . (T_{w_lam^{-1}})^{-1}."""
-    w, _ = affweyl.w_lambda(rs, lam)
-    letters = word_letters(rs, affweyl.aff_inv(rs, w), inverse=True)
-    return _act(rs, m0(rs), letters)
+    """[Delta^lam] = m_0 . (T_{w_lam^{-1}})^{-1}, walked down the descents:
+    Delta^lam = Delta^mu . T_s^-1 (w_lam = w_mu s); only lam is stored."""
+    memo, mu, letters = rs.memo("delta_class"), lam, []
+    while mu not in memo and (step := _descent(rs, mu)):
+        letters.append(("s", step[0], -1))
+        mu = step[1]
+    base = memo[mu] if mu in memo else KClass.basis(mu)
+    return _act(rs, base, reversed(letters))
 
 
 def line_bundle_class(rs, lam: Weight) -> KClass:

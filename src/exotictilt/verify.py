@@ -40,6 +40,18 @@ PAIR_BOUND = 2 * 10**6
 # (1327104 pairs), D5, B5 and E6.
 BERNSTEIN_BOUND = 2 * 10**5
 BERNSTEIN_PAIR_BOUND = 6 * 10**5
+# MODULE_BOUND caps the module suite, whose delta-triangularity and
+# line-bundle-recursion reports grow with the classes of the box.  Its
+# estimate needs no class: the sum, over the box, of the weights that the
+# line-bundle reflection steps (exotic_k._reflection_inputs) reach from each
+# weight, plus |W|, which the spherical-character report walks.  A unit took
+# 0.23 ms (A2, radius 2) to 2.1 ms (G2xG2, radius 2) on a 2-vCPU host, so
+# that is at most some 20 seconds; it admits every rank-3 type at radius 2
+# (B3 4131, C3 4109), B4, C4 and A5 at radius 1 (3411, 3321, 4469) and F4 at
+# radius 0, and refuses A4, D4 and G2xG2 at radius 2, which ran 13, 36 and
+# 82 seconds at 195, 563 and 1068 MB peak RSS, E6 at radius 0 (51841 units,
+# 20 seconds) and F4 and D5 at radius 1.
+MODULE_BOUND = 10**4
 
 
 @dataclass
@@ -418,6 +430,14 @@ def _check_budget(rs: RootSystem, names, radius: int) -> None:
                 f"{box_radius} on {rs.spec} makes an estimated {work} or more "
                 f"sweep steps, above the bound {BERNSTEIN_BOUND}"
             )
+    if "module" in names:
+        work = _module_work(rs, radius)
+        if work > MODULE_BOUND:
+            raise ValueError(
+                f"the module suite on the weight box of radius {radius} on "
+                f"{rs.spec} walks an estimated {work} or more weights and Weyl "
+                f"group elements, above the bound {MODULE_BOUND}"
+            )
 
 
 def _bernstein_work(rs: RootSystem, radius: int) -> int:
@@ -436,6 +456,28 @@ def _bernstein_work(rs: RootSystem, radius: int) -> int:
             break
         terms += len(theta(rs, lam).terms) - 1
     return terms * letters
+
+
+def _module_work(rs: RootSystem, radius: int) -> int:
+    """The work estimate of MODULE_BOUND on the box of the given radius,
+    built from weights and |W| alone.  The walks stop once the sum passes
+    the bound, so a refused box costs little more than the bound allows;
+    they are hand-written because rootdata.closure does not stop, and E7's
+    box of radius 1 reaches 8.3 million weights."""
+    work = rs.weyl_order()
+    for lam in affweyl.weight_box(rs, radius):
+        reached, seen = [lam], {lam}
+        for mu in reached:
+            if work + len(reached) > MODULE_BOUND:
+                break
+            for nu in exotic_k._reflection_inputs(rs, mu)[1]:
+                if nu not in seen:
+                    seen.add(nu)
+                    reached.append(nu)
+        work += len(reached)
+        if work > MODULE_BOUND:
+            break
+    return work
 
 
 def run_suites(rs: RootSystem, which: str, radius: int, seed: int = 0):

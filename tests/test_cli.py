@@ -189,7 +189,9 @@ def test_only_the_printed_form_is_built(capsys, monkeypatch, flags, unprinted):
 
 
 # sha256 of stdout without and with --json, recorded from the renderer that
-# built both forms and walked each term's reduced word alone.
+# built both forms and walked each term's reduced word alone; the kclass delta
+# entries outside Z.Phi (A2, D4), from the delta_class that swept the reduced
+# word of w_lam^-1 from m_0.
 GOLDEN = {
     ("theta", "G2", "[-3,-3]"): (
         "a0e089598473598688c8c617ee83cad968ea360a68c62988278fd525a90c7ce5",
@@ -209,6 +211,12 @@ GOLDEN = {
     ("kclass", "delta", "G2", "[3,-5]"): (
         "984b42cae70f56b1400397ae579dd4f111f6e732f2691a1e316fc92c1e651897",
         "d22d36720667d78e0da1d8d58e44b03ec7796785eb7a4f27923a7a18eabe8909"),
+    ("kclass", "delta", "A2", "[2,-3]"): (
+        "33fc4691322baeb1d598a13886275b1cec0800c674252d6135e5e7a1ac787cce",
+        "6ce1247e73ba34d97e7fe2e7582ca3e443780d065ef55d13ec75e329a6670ef1"),
+    ("kclass", "delta", "D4", "[2,-3,1,0]"): (
+        "5e0788a2e75ad43a388c3ce8c4d0727119f09e91af997845a668d3896738fb5f",
+        "3104335e2777bb49ac6360523e4920314d60e41360dd752273d7610c3a6f9799"),
     ("kclass", "bs", "A2", "o[1,0]", "s1", "s0"): (
         "d38f8cda02c5598436d52feb0e8823360e1939e1a0b7e21c7de6465936d1a01e",
         "5aba2f538c5bb4b31795501c471d96032c73efdd4a24780b8135e7645e6e17ae"),
@@ -665,6 +673,17 @@ def test_verify_rank_3_defaults_are_bounded(spec):
     assert "Traceback" not in proc.stderr
     assert elapsed < 10.0
 
+
+def test_verify_module_suite_budget_exits_2_quickly():
+    """The module suite on D4 at radius 2 ran for 36 to 52 seconds at some
+    560 MB; its estimate refuses it with one error line."""
+    proc, elapsed = _timed_cli("verify", "D4", "--suite", "module", timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: the module suite on the weight box")
+    assert "above the bound" in lines[0]
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("spec, pairs", [("F4", 1327104), ("E6", 2687385600)])

@@ -315,6 +315,92 @@ def test_bar_is_an_involution(spec, radius):
 
 
 # ---------------------------------------------------------------------------
+# Delta by the K-descent walk
+
+
+def delta_class_oracle(rs, lam):
+    """[Delta^lam] = m_0 . (T_{w_lam^{-1}})^{-1}, swept from the reduced word
+    of w_lam^{-1}: the definition the descent walk replaced."""
+    w, _ = aw.w_lambda(rs, lam)
+    letters = hb.word_letters(rs, aw.aff_inv(rs, w), inverse=True)
+    return ek._act(rs, ek.m0(rs), letters)
+
+
+def _wlen(rs, lam):
+    return aw.aff_length(rs, aw.w_lambda(rs, lam)[0])
+
+
+@pytest.fixture
+def checked_descents(monkeypatch):
+    """Check every step the walk takes: m_mu . T_s = m_lam and len(w_mu) =
+    len(w_lam) - 1, or no step only where len(w_lam) = 0.  A step that
+    stays put or climbs then fails at once instead of walking forever."""
+    descent = ek._descent
+
+    def checked(rs, lam):
+        step = descent(rs, lam)
+        if step is None:
+            assert _wlen(rs, lam) == 0, lam
+        else:
+            gid, mu = step
+            assert ek._basis_gen_action(rs, mu, gid, 1) == ((lam, ONE),), \
+                (lam, step)
+            assert _wlen(rs, mu) == _wlen(rs, lam) - 1, (lam, step)
+        return step
+    monkeypatch.setattr(ek, "_descent", checked)
+
+
+@pytest.mark.parametrize("spec,radius", [
+    ("A1", 4), ("A2", 3), ("B2", 3), ("G2", 2), ("A3", 2), ("B3", 1),
+    ("C3", 1), ("D4", 1), ("A1xA2", 1)])
+def test_delta_class_matches_the_reduced_word_oracle(spec, radius,
+                                                     checked_descents):
+    """Every weight of the box and a few outside it, asked in a shuffled
+    order on a fresh root system, so the walks stop at memoised classes in
+    every pattern; the oracle runs on a root system of its own."""
+    rs, oracle_rs = build_root_system(spec), build_root_system(spec)
+    rng = random.Random(23)
+    box = aw.weight_box(rs, radius)
+    outside = [lam for lam in aw.weight_box(rs, radius + 1) if lam not in box]
+    weights = box + rng.sample(outside, min(4, len(outside)))
+    rng.shuffle(weights)
+    for lam in weights:
+        assert ek.delta_class(rs, lam) == delta_class_oracle(oracle_rs, lam), \
+            lam
+    assert set(rs.memo("delta_class")) == set(weights)
+
+
+def test_delta_walk_stops_at_the_memo(monkeypatch, checked_descents):
+    """A cold Delta^lam applies len(w_lam) letters and stores one class;
+    after Delta^mu, a lam one descent above mu applies one letter."""
+    applied = []
+    act = ek._act
+
+    def counted(rs, c, letters):
+        letters = tuple(letters)
+        applied.append(len(letters))
+        return act(rs, c, letters)
+    monkeypatch.setattr(ek, "_act", counted)
+    rng = random.Random(29)
+    for spec, radius in [("A2", 3), ("B2", 2), ("G2", 2), ("D4", 1)]:
+        box = aw.weight_box(get_rs(spec), radius)
+        for lam in rng.sample(box, 6):
+            rs = build_root_system(spec)
+            ek.delta_class(rs, lam)
+            assert applied[-1] == _wlen(rs, lam), (spec, lam)
+            assert list(rs.memo("delta_class")) == [lam], (spec, lam)
+            step = ek._descent(rs, lam)
+            if step is None:
+                continue
+            rs = build_root_system(spec)
+            ek.delta_class(rs, step[1])
+            applied.clear()
+            ek.delta_class(rs, lam)
+            assert applied == [1], (spec, lam)
+            assert set(rs.memo("delta_class")) == {lam, step[1]}
+
+
+# ---------------------------------------------------------------------------
 # Line bundles by reflection steps
 
 

@@ -158,7 +158,8 @@ def test_no_dead_locals():
 # Omega-part is read off the translation's Z.Phi-class, with no Omega
 # closure; the Bruhat walk runs inside one Omega-component, with no Omega
 # split; tensor_class reads line bundles off their table, with no theta
-# sweep; and the Hecke renderers read one shared term list, asking no word
+# sweep; delta_class walks the K-module's own descents, with no reduced
+# word; and the Hecke renderers read one shared term list, asking no word
 # or length of their own, directly, through element_str or a sort key.
 NO_OMEGA_SPLIT = {"omega_of_weight", "aff_inv", "reduced_word"}
 SHARED_TERMS = {"reduced_word", "aff_length", "element_str", "_hecke_sort_key"}
@@ -166,6 +167,8 @@ REPLACED_CALLS = {
     ("exotic_k.py", "_basis_gen_action"): {"w_lambda", "dominant_rep"},
     ("exotic_k.py", "_basis_omega_action"): {"w_lambda", "dominant_rep"},
     ("exotic_k.py", "tensor_class"): {"theta_letters", "_act"},
+    ("exotic_k.py", "delta_class"): {"w_lambda", "aff_inv", "word_letters",
+                                     "reduced_word"},
     ("affweyl.py", "bruhat_leq"): NO_OMEGA_SPLIT,
     ("affweyl.py", "_bruhat_walk"): NO_OMEGA_SPLIT,
     ("cli.py", "parse_omega_arg"): {"omega_elements"},

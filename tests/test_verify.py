@@ -152,3 +152,17 @@ def test_bernstein_pair_budget():
     with pytest.raises(ValueError, match="1327104 pairs"):
         verify._check_budget(rs, ["bernstein"], 0)
     assert not rs.memo("weyl_group")
+
+
+def test_module_budget():
+    """The module suite's estimate admits the default radius up to rank 3
+    and refuses D4 at radius 2, which ran for 36 to 52 seconds at some
+    560 MB, before any class is built."""
+    for spec in ("A2", "B2", "G2", "A3", "B3", "C3"):
+        assert verify._module_work(get_rs(spec), 2) <= verify.MODULE_BOUND
+    rs = build_root_system("D4")
+    assert verify._module_work(rs, 1) <= verify.MODULE_BOUND
+    with pytest.raises(ValueError, match="module suite .* above the bound"):
+        verify.run_suites(rs, "module", radius=2)
+    for table in ("delta_class", "line_bundle", "k_gen_action"):
+        assert not rs.memo(table), table
