@@ -5,7 +5,7 @@ Bott-Samelson tilting classes and graded tilting multiplicities."""
 from .laurent import LaurentPoly
 from .rootdata import RootSystem, RootSystemError, WeylElement, build_root_system
 from .affweyl import AffineElement
-from .heckebraid import BraidWord, HeckeElement
+from .heckebraid import HeckeElement
 from .exotic_k import KClass
 from .charring import CharacterMultiset
 
@@ -18,7 +18,6 @@ __all__ = [
     "WeylElement",
     "build_root_system",
     "AffineElement",
-    "BraidWord",
     "HeckeElement",
     "KClass",
     "CharacterMultiset",

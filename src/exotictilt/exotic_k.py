@@ -50,7 +50,7 @@ from __future__ import annotations
 from .laurent import (Combination, LaurentPoly, V, VINV, V_MINUS_VINV,
                       _accumulate)
 from .rootdata import RootSystem, Weight, memoized
-from .heckebraid import BraidWord, _step, act, act_element, theta_letters
+from .heckebraid import _step, act, act_element, theta_letters
 from .affweyl import (AffineElement, aff_length, aff_mul, generator_order,
                       t_lambda)
 
@@ -91,9 +91,8 @@ def act_simple(rs, c: KClass, gid: int) -> KClass:
 
 
 def act_hecke(rs, c: KClass, xi) -> KClass:
-    """Right action of a HeckeElement or BraidWord."""
-    if isinstance(xi, BraidWord):
-        return _act(rs, c, xi.letters)
+    """Right action c . xi of a HeckeElement xi, each T_y through the letters
+    of its reduced word; a braid word's letters act through _act."""
     return act_element(rs, c, xi, _basis_gen_action, _basis_omega_action)
 
 

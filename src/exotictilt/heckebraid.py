@@ -9,19 +9,18 @@ Conventions (pinned by the test suite):
 
 Bernstein elements: theta_lam = T_{t_mu} (T_{t_nu})^{-1} for any dominant
 mu, nu with lam = mu - nu; the canonical choice takes nu_i = max(0, -lam_i)
-componentwise.  Braid-group words are only ever certified through their
-Hecke images.
+componentwise.
 
-Every product by a word runs through one sweep, ``act``, which applies the
-letters of a word in order to a combination in a module given by its action
-on one basis key: H on the right, or the K-module of exotic_k, its quotient.
+A braid word is its tuple of letters ("s", gid, exp) or ("omega", element,
+exp), exp = +-1, and is only ever certified through its Hecke image.  Every
+product by a word runs through one sweep, ``act``, which applies the letters
+in order to a combination in a module given by its action on one basis key:
+H on the right, or the K-module of exotic_k, its quotient.
 A left product is the mirror of a right one under the anti-involution
 iota(T_x) = T_{x^-1}: T xi = iota(iota(xi) iota(T)).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .laurent import Combination, ONE, VINV_MINUS_V, V_MINUS_VINV, _accumulate
 from .rootdata import RootSystem, Weight, memoized
@@ -42,35 +41,6 @@ def unit(rs: RootSystem) -> HeckeElement:
 
 # ---------------------------------------------------------------------------
 # Braid words and the one sweep
-
-
-@dataclass(frozen=True)
-class BraidWord:
-    """Formal word in generators T_s, T_omega and their inverses.
-
-    Letters are ("s", gid, exp) or ("omega", element, exp) with exp = +-1;
-    adjacent g g^{-1} pairs are cancelled eagerly.
-    """
-
-    letters: tuple = field(default=())
-
-    def __post_init__(self):
-        stack = []
-        for letter in self.letters:
-            if stack and stack[-1][:2] == letter[:2] \
-                    and stack[-1][2] == -letter[2]:
-                stack.pop()
-            else:
-                stack.append(letter)
-        object.__setattr__(self, "letters", tuple(stack))
-
-    def __mul__(self, other):
-        return BraidWord(self.letters + other.letters)
-
-    def inverse(self):
-        return BraidWord(
-            tuple((k, g, -e) for k, g, e in reversed(self.letters))
-        )
 
 
 def word_letters(rs, x: AffineElement, inverse=False) -> tuple:
@@ -177,9 +147,9 @@ def hecke_mul(rs, xi: HeckeElement, eta: HeckeElement) -> HeckeElement:
     return act_element(rs, xi, eta, _step, _move)
 
 
-def evaluate_word(rs, word: BraidWord) -> HeckeElement:
-    """Image of a braid word in H (left-to-right product)."""
-    return _regular(rs, unit(rs), word.letters, "right")
+def evaluate_word(rs, letters) -> HeckeElement:
+    """Image in H of the braid word of the letters (left-to-right product)."""
+    return act(rs, unit(rs), letters, _step, _move)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from . import affweyl, exotic_k, heckebraid, rootdata, tiltmult
 from .charring import CharacterMultiset, WEYL_BASIS
 from .affweyl import (AffineElement, aff_length, aff_mul, simple_generators,
                       t_lambda)
-from .heckebraid import (BraidWord, HeckeElement, mul_basis, mul_basis_inv,
-                         mul_gen, mul_theta, theta)
+from .heckebraid import (HeckeElement, mul_basis, mul_basis_inv, mul_gen,
+                         mul_theta, theta)
 
 # Budgets on the weight box (2 radius + 1)^rank of a run, checked before any
 # suite starts.  BOX_BOUND caps the weights, which every suite walks: it
@@ -52,6 +52,16 @@ BERNSTEIN_PAIR_BOUND = 6 * 10**5
 # 82 seconds at 195, 563 and 1068 MB peak RSS, E6 at radius 0 (51841 units,
 # 20 seconds) and F4 and D5 at radius 1.
 MODULE_BOUND = 10**4
+# ANCHORS_BOUND caps the anchors suite by an estimate built from weights:
+# the weights of M(lam) over the tensor oracle's dominant box (sum |W d| over
+# the dominant d <= lam), plus twice the letters of the antidominant anchors'
+# theta sweeps (sum len(t_lam)), since a swept class grows with its length.
+# A unit took 0.13 ms (A2, radius 2) to 0.86 ms (G2, radius 7: 6.5 s), so
+# that is at most some 10 seconds; it admits rank 3 at radius 2 (B3 6552),
+# D4, B4 and C4 at radius 1 and A2 at radius 12, and refuses D4 and A4 at
+# radius 2 (86643 and 39717 units, 103 and 18 seconds), A2 at radius 16 and
+# 20 (10.5 and 28 seconds) and G2 at radius 8 and 10 (14 and 52 seconds).
+ANCHORS_BOUND = 10**4
 
 
 @dataclass
@@ -287,7 +297,7 @@ def suite_module(rs: RootSystem, radius: int, seed: int = 0):
     words = []
     for _ in range(12):
         gids = [rng.choice(order) for _ in range(rng.randint(0, 4))]
-        word = BraidWord(tuple(("s", gid, 1) for gid in gids))
+        word = tuple(("s", gid, 1) for gid in gids)
         words.append((gids, heckebraid.evaluate_word(rs, word)))
     for wa, xi in words[:6]:
         for wb, eta in words[6:]:
@@ -301,8 +311,7 @@ def suite_module(rs: RootSystem, radius: int, seed: int = 0):
         nab0 = exotic_k.KClass.basis(lam).scale(LaurentPoly.v(rs.delta(lam)))
         for i in range(rs.rank):
             slam = rs.apply(rs.simple_reflection_matrix(i), lam)
-            inverse = BraidWord((("s", i + 1, -1),))
-            acted = exotic_k.act_hecke(rs, nab0, inverse)
+            acted = exotic_k._act(rs, nab0, (("s", i + 1, -1),))
             if slam == lam:
                 expect = nab0.scale(LaurentPoly.v(1))
             elif rs.dominance_leq(slam, lam):
@@ -372,13 +381,14 @@ def suite_anchors(rs: RootSystem, radius: int, seed: int = 0):
                 for i in range(rs.rank)),
             f"w_lambda has a finite left descent at lam={lam}",
         )
-        line = exotic_k.line_bundle_class(rs, lam)
         if rs.is_dominant(lam):
-            lines.check(line == exotic_k.KClass.basis(lam),
+            lines.check(exotic_k.line_bundle_class(rs, lam)
+                        == exotic_k.KClass.basis(lam),
                         f"dominant anchor fails at lam={lam}")
         if all(a <= 0 for a in lam):
             dl = exotic_k.delta_class(rs, lam).scale(LaurentPoly.v(rs.delta(lam)))
-            lines.check(line == dl, f"antidominant anchor fails at lam={lam}")
+            lines.check(exotic_k.line_bundle_class(rs, lam) == dl,
+                        f"antidominant anchor fails at lam={lam}")
 
     tensor = Report(f"tilting-tensor-oracle[{rs.spec}, radius {min(radius, 2)}]")
     for lam in affweyl.dominant_box(rs, min(radius, 2)):
@@ -438,6 +448,14 @@ def _check_budget(rs: RootSystem, names, radius: int) -> None:
                 f"{rs.spec} walks an estimated {work} or more weights and Weyl "
                 f"group elements, above the bound {MODULE_BOUND}"
             )
+    if "anchors" in names:
+        work = _anchors_work(rs, radius)
+        if work > ANCHORS_BOUND:
+            raise ValueError(
+                f"the anchors suite on the weight box of radius {radius} on "
+                f"{rs.spec} makes an estimated {work} or more oracle weights "
+                f"and sweep letters, above the bound {ANCHORS_BOUND}"
+            )
 
 
 def _bernstein_work(rs: RootSystem, radius: int) -> int:
@@ -477,6 +495,18 @@ def _module_work(rs: RootSystem, radius: int) -> int:
         work += len(reached)
         if work > MODULE_BOUND:
             break
+    return work
+
+
+def _anchors_work(rs: RootSystem, radius: int) -> int:
+    """The work estimate of ANCHORS_BOUND on the box of the given radius,
+    built from weights alone; the orbit walks stop once past the bound."""
+    work = 2 * sum(aff_length(rs, t_lambda(rs, lam))
+                   for lam in affweyl.weight_box(rs, radius) if max(lam) <= 0)
+    for lam in affweyl.dominant_box(rs, min(radius, 2)):
+        if work > ANCHORS_BOUND:
+            break
+        work += sum(len(rs.orbit_levels(d)) for d in rs.dominant_below(lam))
     return work
 
 

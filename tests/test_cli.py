@@ -686,6 +686,22 @@ def test_verify_module_suite_budget_exits_2_quickly():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("D4",), ("A4",), ("A2", "--radius", "20"), ("G2", "--radius", "10")])
+def test_verify_anchors_suite_budget_exits_2_quickly(argv):
+    """The anchors suite ran 103 seconds on D4 and 18 on A4 at radius 2, 28
+    on A2 at radius 20 and 52 on G2 at radius 10; its estimate refuses each
+    with one error line."""
+    proc, elapsed = _timed_cli("verify", *argv, "--suite", "anchors",
+                               timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: the anchors suite on the weight box")
+    assert "above the bound" in lines[0]
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("spec, pairs", [("F4", 1327104), ("E6", 2687385600)])
 def test_verify_bernstein_pair_budget_exits_2_quickly(spec, pairs):
     """Relation (1) walks W x W at every radius; F4 ran for 40 seconds at

@@ -12,7 +12,6 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 @pytest.mark.parametrize("script,args", [
     ("tilting_table.py", ("A2", "1")),
-    ("bs_positivity_scan.py", ("B2", "10", "0")),
 ])
 def test_script_runs_cleanly(script, args):
     proc = run_python(str(SCRIPTS / script), *args, timeout=60)

@@ -159,8 +159,9 @@ def test_no_dead_locals():
 # closure; the Bruhat walk runs inside one Omega-component, with no Omega
 # split; tensor_class reads line bundles off their table, with no theta
 # sweep; delta_class walks the K-module's own descents, with no reduced
-# word; and the Hecke renderers read one shared term list, asking no word
-# or length of their own, directly, through element_str or a sort key.
+# word; the Hecke renderers read one shared term list, asking no word or
+# length of their own, directly, through element_str or a sort key; and
+# act_hecke takes a Hecke element only, with no switch on a word type.
 NO_OMEGA_SPLIT = {"omega_of_weight", "aff_inv", "reduced_word"}
 SHARED_TERMS = {"reduced_word", "aff_length", "element_str", "_hecke_sort_key"}
 REPLACED_CALLS = {
@@ -174,6 +175,7 @@ REPLACED_CALLS = {
     ("cli.py", "parse_omega_arg"): {"omega_elements"},
     ("cli.py", "hecke_str"): SHARED_TERMS,
     ("cli.py", "hecke_json"): SHARED_TERMS,
+    ("exotic_k.py", "act_hecke"): {"isinstance", "BraidWord"},
 }
 
 
@@ -189,6 +191,18 @@ def test_replaced_calls_stay_gone():
                   if (isinstance(node, ast.Name) and node.id in banned) or (
                       isinstance(node, ast.Attribute) and node.attr in banned)]
     assert seen == set(REPLACED_CALLS), seen
+    assert not found, found
+
+
+def test_braid_words_are_letter_tuples():
+    """A braid word is the tuple of letters heckebraid.act takes: no source
+    line names a word wrapper class."""
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "BraidWord" in line
+    ]
     assert not found, found
 
 

@@ -166,3 +166,27 @@ def test_module_budget():
         verify.run_suites(rs, "module", radius=2)
     for table in ("delta_class", "line_bundle", "k_gen_action"):
         assert not rs.memo(table), table
+
+
+def test_anchors_budget():
+    """The anchors suite's estimate admits the default radius up to rank 3
+    and D4 at radius 1, and refuses D4 and A4 at radius 2, A2 at radius 20
+    and G2 at radius 10 (103, 18, 28 and 52 seconds) before any class is
+    built."""
+    rs = get_rs("A2")   # M(lam) over A2's dominant box of radius 2: 69 weights
+    assert verify._anchors_work(rs, 3) == 69 + 2 * sum(
+        affweyl.aff_length(rs, affweyl.t_lambda(rs, lam))
+        for lam in affweyl.weight_box(rs, 3) if max(lam) <= 0)
+    admitted = [(spec, 2) for spec in ("A1", "A2", "B2", "G2", "A3", "B3",
+                                       "C3")]
+    for spec, radius in admitted + [("D4", 1), ("A2", 12), ("G2", 7)]:
+        assert verify._anchors_work(get_rs(spec), radius) \
+            <= verify.ANCHORS_BOUND, spec
+    for spec, radius in (("D4", 2), ("A4", 2), ("A2", 20), ("G2", 10)):
+        rs = build_root_system(spec)
+        with pytest.raises(ValueError,
+                           match="anchors suite .* above the bound"):
+            verify.run_suites(rs, "anchors", radius=radius)
+        for table in ("delta_class", "k_gen_action", "kostant_table",
+                      "w_lambda"):
+            assert not rs.memo(table), (spec, table)
