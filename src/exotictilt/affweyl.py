@@ -18,6 +18,7 @@ short root.  So "s0" is the affine generator of the first component.
 Multiplying by one generator on the right and asking whether the length
 went down is ``gen_step``, in closed form from the generator's simple affine
 root; ``aff_mul`` and ``aff_length`` are the general path and its oracle.
+``walk_down`` follows ``first_descent`` down to a memoised key or Omega.
 """
 
 from __future__ import annotations
@@ -117,21 +118,12 @@ def simple_generators(rs: RootSystem) -> dict:
 # here: s x is the inverse of x^-1 s.
 
 
-def descends(rs: RootSystem, x: AffineElement, gid: int) -> bool:
-    """len(x s) < len(x) for the generator s = gid."""
-    beta, cobeta, n = gen_roots(rs)[gid]
-    w, lam = x
-    c = n - sum(map(mul, cobeta, lam))
-    return c < 0 or (
-        c == 0 and sum(map(mul, rs.height_row, rs.apply(w, beta))) < 0)
-
-
 def gen_step(rs: RootSystem, x: AffineElement, gid: int):
     """(y, down): y = x s for the generator s = gid, and whether
     len(y) < len(x).
 
-    x s = (w - (w beta) beta_vee^T) t_{lam + c beta}, with c as for
-    descends."""
+    x s = (w - (w beta) beta_vee^T) t_{lam + c beta}, with
+    c = n - <lam, beta_vee> for s = s_beta t_{n beta}."""
     beta, cobeta, n = gen_roots(rs)[gid]
     w, lam = x
     wb = [sum(map(mul, row, beta)) for row in w]
@@ -142,6 +134,27 @@ def gen_step(rs: RootSystem, x: AffineElement, gid: int):
                for row, b in zip(w, wb)]),
         tuple([a + c * b for a, b in zip(lam, beta)]),
     ), down
+
+
+def first_descent(rs: RootSystem, x: AffineElement):
+    """(gid, x s) for the first s in generator order with len(x s) < len(x),
+    or None when len(x) = 0.  Only the descent found is stepped."""
+    w, lam = x
+    for gid, (beta, cobeta, n) in gen_roots(rs).items():
+        c = n - sum(map(mul, cobeta, lam))
+        if c < 0 or (c == 0 and sum(map(mul, rs.height_row,
+                                        rs.apply(w, beta))) < 0):
+            return gid, gen_step(rs, x, gid)[0]
+
+
+def walk_down(rs: RootSystem, key, memo, descent):
+    """(end, gids): follow descent(rs, key) = (gid, key') from key to a key
+    in memo or one with no descent (None); gids are those passed, top first."""
+    gids = []
+    while key not in memo and (step := descent(rs, key)):
+        gids.append(step[0])
+        key = step[1]
+    return key, gids
 
 
 def generator_order(rs: RootSystem):
@@ -159,22 +172,13 @@ def reduced_word(rs: RootSystem, x: AffineElement):
     """(omega, word): x = omega * s_{word[0]} ... s_{word[-1]} with
     len(word) == len(x) and len(omega) == 0.
 
-    Greedy right-descent stripping, taking the first right descent in
-    generator_order.  The choice depends on the element alone, so the walk
-    stops at the first element whose word is already memoised.
+    Greedy stripping by first_descent, which depends on the element alone,
+    so the walk stops at the first element whose word is memoised.
     """
     memo = rs.memo("reduced_word")
-    order = generator_order(rs)
-    letters = []
-    cur = x
-    while cur not in memo:
-        gid = next((g for g in order if descends(rs, cur, g)), None)
-        if gid is None:     # no right descent: cur has length 0
-            return cur, tuple(reversed(letters))
-        letters.append(gid)
-        cur = gen_step(rs, cur, gid)[0]
-    omega, word = memo[cur]
-    return omega, word + tuple(reversed(letters))
+    cur, gids = walk_down(rs, x, memo, first_descent)
+    omega, word = memo.get(cur, (cur, ()))
+    return omega, word + tuple(reversed(gids))
 
 
 def coset_class_key(rs: RootSystem, lam: Weight):
@@ -234,7 +238,6 @@ def _bruhat_walk(rs, u, w) -> bool:
     needs no Omega split; its one length-0 element lies below all.  Each
     step shortens w; every W_aff pair passed is memoized with the answer."""
     memo = rs.memo("bruhat")
-    order = generator_order(rs)
     lu, lw = aff_length(rs, u), aff_length(rs, w)
     walked = []
     while True:
@@ -248,8 +251,7 @@ def _bruhat_walk(rs, u, w) -> bool:
         if res is not None:
             break
         walked.append((u, w))
-        gid = next(g for g in order if descends(rs, w, g))
-        w = gen_step(rs, w, gid)[0]
+        gid, w = first_descent(rs, w)
         us, down = gen_step(rs, u, gid)
         if down:
             u, lu = us, lu - 1

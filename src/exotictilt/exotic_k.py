@@ -52,7 +52,7 @@ from .laurent import (Combination, LaurentPoly, V, VINV, V_MINUS_VINV,
 from .rootdata import RootSystem, Weight, memoized
 from .heckebraid import _step, act, act_element, theta_letters
 from .affweyl import (AffineElement, aff_length, aff_mul, generator_order,
-                      t_lambda)
+                      t_lambda, walk_down)
 
 
 KClass = Combination   # linear combinations of basis classes m_lam
@@ -118,12 +118,10 @@ def _descent(rs, lam: Weight):
 def delta_class(rs, lam: Weight) -> KClass:
     """[Delta^lam] = m_0 . (T_{w_lam^{-1}})^{-1}, walked down the descents:
     Delta^lam = Delta^mu . T_s^-1 (w_lam = w_mu s); only lam is stored."""
-    memo, mu, letters = rs.memo("delta_class"), lam, []
-    while mu not in memo and (step := _descent(rs, mu)):
-        letters.append(("s", step[0], -1))
-        mu = step[1]
+    memo = rs.memo("delta_class")
+    mu, gids = walk_down(rs, lam, memo, _descent)
     base = memo[mu] if mu in memo else KClass.basis(mu)
-    return _act(rs, base, reversed(letters))
+    return _act(rs, base, [("s", gid, -1) for gid in reversed(gids)])
 
 
 def line_bundle_class(rs, lam: Weight) -> KClass:

@@ -188,13 +188,15 @@ def test_reduced_word_roundtrip(data):
 
 
 def greedy_suffix(rs, x, steps):
-    """x s_g ... : up to `steps` greedy right-descent steps from x."""
+    """x s_g ... : up to `steps` greedy right-descent steps from x, each
+    the first generator whose gen_step goes down."""
     for _ in range(steps):
-        gid = next((g for g in aw.generator_order(rs) if aw.descends(rs, x, g)),
-                   None)
-        if gid is None:
+        y = next((y for y, down in (aw.gen_step(rs, x, g)
+                                    for g in aw.generator_order(rs)) if down),
+                 None)
+        if y is None:
             break
-        x = aw.gen_step(rs, x, gid)[0]
+        x = y
     return x
 
 
@@ -440,10 +442,22 @@ def old_left_step(rs, x, gid):
     ), c < 0 or (c == 0 and sum(r) < 0)
 
 
+def oracle_first_descent(rs, x):
+    """(gid, x s) for the first gid in generator_order whose product by its
+    simple generator lowers aff_length, or None."""
+    gens = aw.simple_generators(rs)
+    lx = aw.aff_length(rs, x)
+    for gid in aw.generator_order(rs):
+        y = aw.aff_mul(rs, x, gens[gid])
+        if aw.aff_length(rs, y) < lx:
+            return gid, y
+    return None
+
+
 def check_steps(rs, x):
-    """The right step and descent against aff_mul and aff_length, and the
-    left product s x, read through the inverse as (x^-1 s)^-1, against
-    them and the old left closed form."""
+    """The right step, descent and first descent against aff_mul and
+    aff_length, and the left product s x, read through the inverse as
+    (x^-1 s)^-1, against them and the old left closed form."""
     gens = aw.simple_generators(rs)
     lx = aw.aff_length(rs, x)
     xinv = aw.aff_inv(rs, x)
@@ -452,13 +466,13 @@ def check_steps(rs, x):
         y, down = aw.gen_step(rs, x, gid)
         assert y == ref, gid
         assert down == (aw.aff_length(rs, ref) < lx), gid
-        assert aw.descends(rs, x, gid) == down, gid
         ref = aw.aff_mul(rs, s, x)
         y, down = aw.gen_step(rs, xinv, gid)
         assert aw.aff_inv(rs, y) == ref, gid
         assert down == (aw.aff_length(rs, ref) < lx), gid
-        assert aw.descends(rs, xinv, gid) == down, gid
         assert old_left_step(rs, x, gid) == (ref, down), gid
+    step = aw.first_descent(rs, x)
+    assert step == oracle_first_descent(rs, x) and (step is None) == (lx == 0)
     assert aw.reduced_word(rs, x) == oracle_reduced_word(rs, x)
 
 
@@ -478,3 +492,12 @@ def test_gen_step_fixed_cases(spec, lam):
     rs = get_rs(spec)
     for w in rs.weyl_group()[::37]:
         check_steps(rs, aw.AffineElement(w.matrix, lam))
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "B2", "G2", "D4", "A1xA2"])
+def test_steps_on_omega(spec):
+    """The length-0 elements: first_descent is None on each, and every step
+    goes up."""
+    rs = get_rs(spec)
+    for omega in aw.omega_elements(rs).values():
+        check_steps(rs, omega)

@@ -316,10 +316,9 @@ def test_mat_inv_refuses_non_weyl_matrices():
 
 def test_weyl_arithmetic_builds_no_fractions():
     """aff_mul, aff_length, reduced_word, mat_inv, root_coords_int, the
-    one-generator step, left products by a generator, bruhat_leq and the
-    Freudenthal tables
-    behind freudenthal_mult and module_weights run in integers only, cold
-    memo tables included."""
+    one-generator step and first descent, left products by a generator,
+    bruhat_leq and the Freudenthal tables behind freudenthal_mult and
+    module_weights run in integers only, cold memo tables included."""
     rs = build_root_system("A3")
     cold = build_root_system("A3")     # for the step and Bruhat bursts
     fresh = [build_root_system(spec) for spec in ("B3", "G2")]
@@ -347,9 +346,9 @@ def test_weyl_arithmetic_builds_no_fractions():
                 rs.mat_inv(xy.w)
                 rs.root_coords_int(xy.t)
         for x in elements:
+            aw.first_descent(cold, x)
             for gid in aw.generator_order(cold):
                 aw.gen_step(cold, x, gid)
-                aw.descends(cold, x, gid)
                 hb.mul_gen(cold, hb.T(cold, x), gid, "left")
         for x in elements[::4]:
             for y in elements[::7]:

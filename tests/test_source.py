@@ -159,7 +159,8 @@ def test_no_dead_locals():
 # closure; the Bruhat walk runs inside one Omega-component, with no Omega
 # split; tensor_class reads line bundles off their table, with no theta
 # sweep; delta_class walks the K-module's own descents, with no reduced
-# word; the Hecke renderers read one shared term list, asking no word or
+# word; the Bruhat walk takes first_descent, with no generator search of its
+# own; the Hecke renderers read one shared term list, asking no word or
 # length of their own, directly, through element_str or a sort key; and
 # act_hecke takes a Hecke element only, with no switch on a word type.
 NO_OMEGA_SPLIT = {"omega_of_weight", "aff_inv", "reduced_word"}
@@ -171,7 +172,7 @@ REPLACED_CALLS = {
     ("exotic_k.py", "delta_class"): {"w_lambda", "aff_inv", "word_letters",
                                      "reduced_word"},
     ("affweyl.py", "bruhat_leq"): NO_OMEGA_SPLIT,
-    ("affweyl.py", "_bruhat_walk"): NO_OMEGA_SPLIT,
+    ("affweyl.py", "_bruhat_walk"): NO_OMEGA_SPLIT | {"generator_order"},
     ("cli.py", "parse_omega_arg"): {"omega_elements"},
     ("cli.py", "hecke_str"): SHARED_TERMS,
     ("cli.py", "hecke_json"): SHARED_TERMS,
@@ -192,6 +193,30 @@ def test_replaced_calls_stay_gone():
                       isinstance(node, ast.Attribute) and node.attr in banned)]
     assert seen == set(REPLACED_CALLS), seen
     assert not found, found
+
+
+def test_one_descent_walk():
+    """walk_down is the one loop that walks down descents to a memo:
+    reduced_word and delta_class call it and loop no further, and the
+    closed-form descent test lives only in first_descent and gen_step, so
+    no source names the old per-generator descends."""
+    walkers, found = set(), []
+    for path, fn in _functions():
+        if (path.name, fn.name) in (("affweyl.py", "reduced_word"),
+                                    ("exotic_k.py", "delta_class")):
+            walkers.add(fn.name)
+            nodes = list(ast.walk(fn))
+            if any(isinstance(node, ast.While) for node in nodes) or not any(
+                    isinstance(node, ast.Name) and node.id == "walk_down"
+                    for node in nodes):
+                found.append(f"{path.name}:{fn.lineno} {fn.name}")
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if "descends" in (getattr(node, "id", None),
+                              getattr(node, "attr", None),
+                              getattr(node, "name", None)):
+                found.append(f"{path.name}:{node.lineno} descends")
+    assert walkers == {"reduced_word", "delta_class"} and not found, found
 
 
 def test_braid_words_are_letter_tuples():
