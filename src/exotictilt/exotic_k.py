@@ -51,7 +51,7 @@ from .laurent import (Combination, LaurentPoly, V, VINV, V_MINUS_VINV,
                       _accumulate)
 from .rootdata import RootSystem, Weight, memoized
 from .heckebraid import _step, act, act_element, theta_letters
-from .affweyl import (AffineElement, aff_length, aff_mul, generator_order,
+from .affweyl import (AffineElement, aff_length, aff_mul, gen_roots,
                       t_lambda, walk_down)
 
 
@@ -106,9 +106,10 @@ def nabla_class(rs, lam: Weight) -> KClass:
 
 
 def _descent(rs, lam: Weight):
-    """(gid, mu) for the first s in generator_order with m_lam . T_s = m_mu +
-    (v^-1 - v) m_lam, so m_mu . T_s = m_lam; None on the Omega-orbit of 0."""
-    for gid in generator_order(rs):
+    """(gid, mu) for the first s in generator order (that of gen_roots) with
+    m_lam . T_s = m_mu + (v^-1 - v) m_lam, so m_mu . T_s = m_lam; None on the
+    Omega-orbit of 0."""
+    for gid in gen_roots(rs):
         terms = _basis_gen_action(rs, lam, gid, 1)
         if len(terms) == 2:
             return gid, terms[0][0]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import wraps
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 Weight = tuple  # tuple[int, ...]
 Matrix = tuple  # tuple[tuple[int, ...], ...]
@@ -175,18 +175,19 @@ def _det_adjugate(a):
 # Closures
 
 
-def closure(starts, moves) -> list:
+def closure(starts, moves) -> Iterator:
     """Every item reachable from starts through moves(x), each once, in
     breadth-first discovery order; the first of duplicate starts is kept.
-    The list grows while the loop runs over it."""
+    Lazy: x is yielded before moves(x) is asked for, so a caller can stop
+    the walk.  The list grows while the loop runs over it."""
     out = list(dict.fromkeys(starts))
     seen = set(out)
     for x in out:
+        yield x
         for y in moves(x):
             if y not in seen:
                 seen.add(y)
                 out.append(y)
-    return out
 
 
 # ---------------------------------------------------------------------------

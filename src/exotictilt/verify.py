@@ -7,7 +7,9 @@ report does.  Randomized checks take an explicit seed.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import mul
 
 from .laurent import LaurentPoly, ONE, VINV, V_MINUS_VINV
@@ -407,63 +409,22 @@ SUITES = {
 }
 
 
-def _check_budget(rs: RootSystem, names, radius: int) -> None:
-    size = (2 * radius + 1) ** rs.rank
-    if size > BOX_BOUND:
-        raise ValueError(
-            f"the weight box of radius {radius} on {rs.spec} holds {size} "
-            f"weights, above the bound {BOX_BOUND}"
-        )
-    if "order" in names:
-        pairs = size * (size + rs.weyl_order())
-        if pairs > PAIR_BOUND:
-            raise ValueError(
-                f"the order suite on the weight box of radius {radius} on "
-                f"{rs.spec} makes {pairs} comparisons, above the bound "
-                f"{PAIR_BOUND}"
-            )
-    if "bernstein" in names:
-        size = rs.weyl_order()
-        if size > rootdata.WEYL_BOUND:
-            rs.weyl_group()   # raises the enumeration bound's error at once
-        if size * size > BERNSTEIN_PAIR_BOUND:
-            raise ValueError(
-                f"relation (1) of the bernstein suite on {rs.spec} walks "
-                f"{size * size} pairs of Weyl group elements, above the bound "
-                f"{BERNSTEIN_PAIR_BOUND}"
-            )
-        box_radius = min(radius, 2)
-        work = _bernstein_work(rs, box_radius)
-        if work > BERNSTEIN_BOUND:
-            raise ValueError(
-                f"the bernstein suite on the weight box of radius "
-                f"{box_radius} on {rs.spec} makes an estimated {work} or more "
-                f"sweep steps, above the bound {BERNSTEIN_BOUND}"
-            )
-    if "module" in names:
-        work = _module_work(rs, radius)
-        if work > MODULE_BOUND:
-            raise ValueError(
-                f"the module suite on the weight box of radius {radius} on "
-                f"{rs.spec} walks an estimated {work} or more weights and Weyl "
-                f"group elements, above the bound {MODULE_BOUND}"
-            )
-    if "anchors" in names:
-        work = _anchors_work(rs, radius)
-        if work > ANCHORS_BOUND:
-            raise ValueError(
-                f"the anchors suite on the weight box of radius {radius} on "
-                f"{rs.spec} makes an estimated {work} or more oracle weights "
-                f"and sweep letters, above the bound {ANCHORS_BOUND}"
-            )
+def _weyl_pairs(rs: RootSystem, radius: int) -> int:
+    """The |W|^2 pairs of relation (1), at any radius; a W over
+    rootdata.WEYL_BOUND raises its enumeration error before any theta."""
+    size = rs.weyl_order()
+    if size > rootdata.WEYL_BOUND:
+        rs.weyl_group()
+    return size * size
 
 
 def _bernstein_work(rs: RootSystem, radius: int) -> int:
-    """The work estimate of BERNSTEIN_BOUND on the box of the given radius.
-    Each theta_lam counts one term until it is computed, and the thetas
-    (memoised for the suite) are computed only while the estimate is within
-    the bound, so a refused box costs little more than the bound allows."""
-    box = affweyl.weight_box(rs, radius)
+    """The work estimate of BERNSTEIN_BOUND on the box of radius
+    min(radius, 2), the one relation (2) walks.  Each theta_lam counts one
+    term until it is computed, and the thetas (memoised for the suite) are
+    computed only while the estimate is within the bound, so a refused box
+    costs little more than the bound allows."""
+    box = affweyl.weight_box(rs, min(radius, 2))
     letters = sum(
         aff_length(rs, t_lambda(rs, mu)) + aff_length(rs, t_lambda(rs, nu))
         for mu, nu in (heckebraid.theta_decomposition(rs, lam) for lam in box)
@@ -479,22 +440,16 @@ def _bernstein_work(rs: RootSystem, radius: int) -> int:
 def _module_work(rs: RootSystem, radius: int) -> int:
     """The work estimate of MODULE_BOUND on the box of the given radius,
     built from weights and |W| alone.  The walks stop once the sum passes
-    the bound, so a refused box costs little more than the bound allows;
-    they are hand-written because rootdata.closure does not stop, and E7's
-    box of radius 1 reaches 8.3 million weights."""
+    the bound, so a refused box (E7's of radius 1 reaches 8.3 million
+    weights) costs little more than the bound allows."""
+    def inputs(mu):
+        return exotic_k._reflection_inputs(rs, mu)[1]
     work = rs.weyl_order()
     for lam in affweyl.weight_box(rs, radius):
-        reached, seen = [lam], {lam}
-        for mu in reached:
-            if work + len(reached) > MODULE_BOUND:
-                break
-            for nu in exotic_k._reflection_inputs(rs, mu)[1]:
-                if nu not in seen:
-                    seen.add(nu)
-                    reached.append(nu)
-        work += len(reached)
         if work > MODULE_BOUND:
             break
+        work += len(list(islice(closure([lam], inputs),
+                                MODULE_BOUND + 1 - work)))
     return work
 
 
@@ -508,6 +463,46 @@ def _anchors_work(rs: RootSystem, radius: int) -> int:
             break
         work += sum(len(rs.orbit_levels(d)) for d in rs.dominant_below(lam))
     return work
+
+
+# The bounds checked before any suite starts, in this order; a new suite
+# adds its row.  A run of suite (None: every run) whose estimate(rs, radius)
+# passes bound is refused with refusal(rs, radius, estimate).
+Budget = namedtuple("Budget", "suite estimate bound refusal")
+BUDGETS = [
+    Budget(None, lambda rs, r: (2 * r + 1) ** rs.rank, BOX_BOUND,
+           lambda rs, r, n: f"the weight box of radius {r} on {rs.spec} "
+                            f"holds {n} weights"),
+    Budget("order", lambda rs, r: (2 * r + 1) ** rs.rank
+           * ((2 * r + 1) ** rs.rank + rs.weyl_order()), PAIR_BOUND,
+           lambda rs, r, n: f"the order suite on the weight box of radius "
+                            f"{r} on {rs.spec} makes {n} comparisons"),
+    Budget("bernstein", _weyl_pairs, BERNSTEIN_PAIR_BOUND,
+           lambda rs, r, n: f"relation (1) of the bernstein suite on "
+                            f"{rs.spec} walks {n} pairs of Weyl group "
+                            f"elements"),
+    Budget("bernstein", _bernstein_work, BERNSTEIN_BOUND,
+           lambda rs, r, n: f"the bernstein suite on the weight box of "
+                            f"radius {min(r, 2)} on {rs.spec} makes an "
+                            f"estimated {n} or more sweep steps"),
+    Budget("module", _module_work, MODULE_BOUND,
+           lambda rs, r, n: f"the module suite on the weight box of radius "
+                            f"{r} on {rs.spec} walks an estimated {n} or "
+                            f"more weights and Weyl group elements"),
+    Budget("anchors", _anchors_work, ANCHORS_BOUND,
+           lambda rs, r, n: f"the anchors suite on the weight box of radius "
+                            f"{r} on {rs.spec} makes an estimated {n} or "
+                            f"more oracle weights and sweep letters"),
+]
+
+
+def _check_budget(rs: RootSystem, names, radius: int) -> None:
+    for suite, estimate, bound, refusal in BUDGETS:
+        if suite is None or suite in names:
+            work = estimate(rs, radius)
+            if work > bound:
+                raise ValueError(f"{refusal(rs, radius, work)}, above the "
+                                 f"bound {bound}")
 
 
 def run_suites(rs: RootSystem, which: str, radius: int, seed: int = 0):

@@ -315,15 +315,28 @@ def test_conv_agrees_with_geometric_hull(spec):
 def test_closure_lists_each_item_once_breadth_first():
     # 0 -> 1, 2; 1 -> 3; 2 -> 3, 0; 3 -> 4: levels {0}, {1, 2}, {3}, {4}
     edges = {0: [1, 2], 1: [3], 2: [3, 0], 3: [4], 4: []}
-    assert closure([0], edges.__getitem__) == [0, 1, 2, 3, 4]
-    assert closure([3, 0], edges.__getitem__) == [3, 0, 4, 1, 2]
+    assert list(closure([0], edges.__getitem__)) == [0, 1, 2, 3, 4]
+    assert list(closure([3, 0], edges.__getitem__)) == [3, 0, 4, 1, 2]
 
 
 def test_closure_keeps_the_first_of_duplicate_starts():
-    assert closure([2, 1, 2, 1], lambda x: [x - 1] if x > 0 else []) == [2, 1, 0]
-    out = closure([1, 1.0, True], lambda x: [])
+    assert list(closure([2, 1, 2, 1], lambda x: [x - 1] if x > 0 else [])) \
+        == [2, 1, 0]
+    out = list(closure([1, 1.0, True], lambda x: []))
     assert out == [1] and type(out[0]) is int
-    assert closure([], lambda x: [x]) == []
+    assert list(closure([], lambda x: [x])) == []
+
+
+def test_closure_stops_when_the_caller_does():
+    """An item is yielded before its moves are asked for, so taking n items
+    of an endless walk asks for n - 1 moves."""
+    asked = []
+
+    def moves(x):
+        asked.append(x)
+        return [x + 1, x + 2]
+    assert list(itertools.islice(closure([0], moves), 4)) == [0, 1, 2, 3]
+    assert asked == [0, 1, 2]
 
 
 WALK_SPECS = ["A1", "A2", "A3", "B2", "C3", "D4", "G2", "A1xA2", "B3xC2"]

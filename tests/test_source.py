@@ -4,6 +4,7 @@ import ast
 import pathlib
 
 import exotictilt
+from exotictilt import verify
 
 SRC = pathlib.Path(exotictilt.__file__).parent
 
@@ -160,7 +161,8 @@ def test_no_dead_locals():
 # split; tensor_class reads line bundles off their table, with no theta
 # sweep; delta_class walks the K-module's own descents, with no reduced
 # word; the Bruhat walk takes first_descent, with no generator search of its
-# own; the Hecke renderers read one shared term list, asking no word or
+# own; the K-module's descent iterates gen_roots, building no generator
+# list per step; the Hecke renderers read one shared term list, asking no word or
 # length of their own, directly, through element_str or a sort key; and
 # act_hecke takes a Hecke element only, with no switch on a word type.
 NO_OMEGA_SPLIT = {"omega_of_weight", "aff_inv", "reduced_word"}
@@ -171,6 +173,7 @@ REPLACED_CALLS = {
     ("exotic_k.py", "tensor_class"): {"theta_letters", "_act"},
     ("exotic_k.py", "delta_class"): {"w_lambda", "aff_inv", "word_letters",
                                      "reduced_word"},
+    ("exotic_k.py", "_descent"): {"generator_order"},
     ("affweyl.py", "bruhat_leq"): NO_OMEGA_SPLIT,
     ("affweyl.py", "_bruhat_walk"): NO_OMEGA_SPLIT | {"generator_order"},
     ("cli.py", "parse_omega_arg"): {"omega_elements"},
@@ -242,3 +245,42 @@ def test_commands_print_only_through_emit():
         found += [f"cli.py:{node.lineno} {fn.name}" for node in ast.walk(fn)
                   if isinstance(node, ast.Name) and node.id == "print"]
     assert len(commands) >= 13 and not found, (commands, found)
+
+
+def test_budgets_are_rows():
+    """Every verify budget is a row of verify.BUDGETS: _check_budget names
+    no suite, every suite has a row, and the module estimate stops its walks
+    through the lazy closure rather than a walk of its own."""
+    fns = {fn.name: fn for path, fn in _functions() if path.name == "verify.py"}
+    found = [f"_check_budget:{node.lineno} {node.value!r}"
+             for node in ast.walk(fns["_check_budget"])
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(name in node.value for name in verify.SUITES)]
+    found += [f"{name}: no row" for name in verify.SUITES
+              if name not in {b.suite for b in verify.BUDGETS}]
+    nodes = list(ast.walk(fns["_module_work"]))
+    found += [f"_module_work:{node.lineno}" for node in nodes
+              if isinstance(node, ast.While) or (
+                  isinstance(node, ast.Attribute) and node.attr == "append")]
+    assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "closure" for node in nodes)
+    assert not found, found
+
+
+def test_hand_kept_memo_tables():
+    """The tables filled by hand, the names passed to memo(...) that no
+    @memoized function owns, are the five the README lists."""
+    by_hand, owned = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                continue
+            if isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "memo":
+                by_hand.add(node.args[0].value)
+            elif isinstance(node.func, ast.Name) \
+                    and node.func.id == "memoized":
+                owned.add(node.args[0].value)
+    assert by_hand - owned == {"mat_inv", "bruhat", "kostant_table",
+                               "inversion_flags", "line_bundle"}

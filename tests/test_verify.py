@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from exotictilt import (
@@ -45,6 +47,46 @@ def test_budgets_bound_each_suite():
         verify.run_suites(build_root_system("A8"), "module", radius=2)
     with pytest.raises(ValueError, match="makes 6052921 comparisons"):
         verify.run_suites(get_rs("A4"), "order", radius=3)
+
+
+def _no_suite_runs(monkeypatch):
+    def ran(rs, radius, seed=0):
+        raise AssertionError("a suite ran before the budgets refused")
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, ran)
+
+
+@pytest.mark.parametrize("row", range(len(verify.BUDGETS)),
+                         ids=lambda i: verify.BUDGETS[i].suite or "box")
+def test_every_budget_row_refuses_before_any_suite_runs(monkeypatch, row):
+    """Each row, its bound lowered to 0, refuses a small run of every suite
+    with its own text, and no suite starts."""
+    budgets = list(verify.BUDGETS)
+    budget = budgets[row]
+    budgets[row] = budget._replace(bound=0)
+    monkeypatch.setattr(verify, "BUDGETS", budgets)
+    _no_suite_runs(monkeypatch)
+    rs = get_rs("A2")
+    text = budget.refusal(rs, 1, budget.estimate(rs, 1))
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(text)}, above the bound 0$"):
+        verify.run_suites(rs, "all", 1)
+
+
+def test_budget_rows_are_checked_in_order(monkeypatch):
+    """A3 at radius 20 passes the box row, and the order row refuses it
+    before the bernstein rows, which would refuse it too, compute a
+    theta."""
+    assert [b.suite for b in verify.BUDGETS] == [
+        None, "order", "bernstein", "bernstein", "module", "anchors"]
+    _no_suite_runs(monkeypatch)
+    rs = build_root_system("A3")
+    with pytest.raises(ValueError, match="^the order suite .* makes "
+                                         "4751758345 comparisons"):
+        verify.run_suites(rs, "all", 20)
+    assert not rs.memo("theta")
+    with pytest.raises(ValueError, match="^the bernstein suite"):
+        verify.run_suites(rs, "bernstein", 20)
 
 
 @pytest.mark.parametrize("spec", ["A1", "A2", "B2"])
