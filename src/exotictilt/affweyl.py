@@ -18,6 +18,9 @@ short root.  So "s0" is the affine generator of the first component.
 Multiplying by one generator on the right and asking whether the length
 went down is ``gen_step``, in closed form from the generator's simple affine
 root; ``aff_mul`` and ``aff_length`` are the general path and its oracle.
+The finite part of a step depends only on (w, gid), so the table
+rs.memo("finite_step") keeps w s_beta and the sign of w beta for each pair
+met, and a step after the first is O(rank).
 ``walk_down`` follows ``first_descent`` down to a memoised key or Omega.
 """
 
@@ -83,14 +86,12 @@ def gen_roots(rs: RootSystem) -> dict:
     (-gamma, -gamma_vee, 1), where gamma is the lowest dominant positive root
     of the component, its highest short root; a length-1 check guards this
     closed form."""
-    table = {}
-    for i in range(rs.rank):
-        table[i + 1] = (rs.simple_roots[i],
-                        tuple(int(j == i) for j in range(rs.rank)), 0)
+    table = {i + 1: (alpha, unit, 0) for i, (alpha, unit)
+             in enumerate(zip(rs.simple_roots, rs.identity_matrix))}
     for c, (indices, _) in enumerate(rs.components):
         gamma = next(
             r for r in rs.positive_roots
-            if all(a >= 0 for a in r.coords)
+            if min(r.coords) >= 0
             and all(r.root_coords[j] == 0 or j in indices for j in range(rs.rank))
         )
         s0 = AffineElement(rs.reflection_matrix(gamma), rs.neg(gamma.coords))
@@ -118,32 +119,44 @@ def simple_generators(rs: RootSystem) -> dict:
 # here: s x is the inverse of x^-1 s.
 
 
+def _finite_step(rs: RootSystem, w, gid: int):
+    """Fill and return rs.memo("finite_step")[w, gid] = (w s_beta,
+    [w beta < 0], beta, beta_vee, n) for the generator s = gid; the one
+    place w beta is computed."""
+    beta, cobeta, n = gen_roots(rs)[gid]
+    wb = [sum(map(mul, row, beta)) for row in w]
+    entry = rs.memo("finite_step")[w, gid] = (
+        tuple([tuple([a - b * e for a, e in zip(row, cobeta)])
+               for row, b in zip(w, wb)]),
+        sum(map(mul, rs.height_row, wb)) < 0, beta, cobeta, n)
+    return entry
+
+
 def gen_step(rs: RootSystem, x: AffineElement, gid: int):
     """(y, down): y = x s for the generator s = gid, and whether
     len(y) < len(x).
 
     x s = (w - (w beta) beta_vee^T) t_{lam + c beta}, with
-    c = n - <lam, beta_vee> for s = s_beta t_{n beta}."""
-    beta, cobeta, n = gen_roots(rs)[gid]
+    c = n - <lam, beta_vee> for s = s_beta t_{n beta}; for a finite
+    s_i (beta_vee = e_i, n = 0) that is c = -lam_i."""
     w, lam = x
-    wb = [sum(map(mul, row, beta)) for row in w]
-    c = n - sum(map(mul, cobeta, lam))
-    down = c < 0 or (c == 0 and sum(map(mul, rs.height_row, wb)) < 0)
-    return AffineElement(
-        tuple([tuple([a - b * e for a, e in zip(row, cobeta)])
-               for row, b in zip(w, wb)]),
-        tuple([a + c * b for a, b in zip(lam, beta)]),
-    ), down
+    ws, neg, beta, cobeta, n = (rs.memo("finite_step").get((w, gid))
+                                or _finite_step(rs, w, gid))
+    c = -lam[gid - 1] if gid > 0 else n - sum(map(mul, cobeta, lam))
+    if c:
+        lam = tuple([a + c * b for a, b in zip(lam, beta)])
+    return AffineElement(ws, lam), c < 0 or (c == 0 and neg)
 
 
 def first_descent(rs: RootSystem, x: AffineElement):
     """(gid, x s) for the first s in generator order with len(x s) < len(x),
     or None when len(x) = 0.  Only the descent found is stepped."""
     w, lam = x
-    for gid, (beta, cobeta, n) in gen_roots(rs).items():
-        c = n - sum(map(mul, cobeta, lam))
-        if c < 0 or (c == 0 and sum(map(mul, rs.height_row,
-                                        rs.apply(w, beta))) < 0):
+    table = rs.memo("finite_step")
+    for gid, (_, cobeta, n) in gen_roots(rs).items():
+        c = -lam[gid - 1] if gid > 0 else n - sum(map(mul, cobeta, lam))
+        if c < 0 or (c == 0 and (table.get((w, gid))
+                                 or _finite_step(rs, w, gid))[1]):
             return gid, gen_step(rs, x, gid)[0]
 
 

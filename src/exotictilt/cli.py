@@ -201,9 +201,9 @@ def hecke_str(rs: RootSystem, xi: HeckeElement) -> str:
                       for _, text, p in _hecke_terms(rs, xi)) or "0"
 
 
-def hecke_json(rs: RootSystem, xi: HeckeElement) -> list:
-    return [{"element": element_json(x), "word": text, "poly": p.pairs()}
-            for x, text, p in _hecke_terms(rs, xi)]
+def hecke_json(rs: RootSystem, xi: HeckeElement):
+    return ({"element": element_json(x), "word": text, "poly": p.pairs()}
+            for x, text, p in _hecke_terms(rs, xi))
 
 
 def kclass_str(c: KClass) -> str:
@@ -213,10 +213,10 @@ def kclass_str(c: KClass) -> str:
     ) or "0"
 
 
-def kclass_json(c: KClass) -> list:
-    return [
-        {"weight": list(w), "poly": p.pairs()} for w, p in sorted(c.terms.items())
-    ]
+def kclass_json(c: KClass):
+    """The term dicts of c, built one at a time as _emit encodes them."""
+    return ({"weight": list(w), "poly": p.pairs()}
+            for w, p in sorted(c.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +302,15 @@ def save_cache(rs: RootSystem, path, loaded: int):
 def _emit(args, text, doc):
     """Print one form of a result: doc() as canonical JSON under --json,
     text() otherwise.  Both are zero-argument builders, so the form that is
-    not printed is never built."""
-    print(json.dumps(doc(), sort_keys=True) if args.json else text())
+    not printed is never built.  A document that is not a dict is a list or
+    an iterator of items, encoded one at a time into the bytes
+    json.dumps(list) would give, so the items never all exist at once."""
+    if not args.json:
+        print(text())
+        return
+    d = doc()
+    print(json.dumps(d, sort_keys=True) if isinstance(d, dict) else
+          "[" + ", ".join(json.dumps(item, sort_keys=True) for item in d) + "]")
 
 
 def cmd_rootinfo(rs, args):

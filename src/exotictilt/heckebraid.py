@@ -76,8 +76,16 @@ def act(rs, c: Combination, letters, step, move) -> Combination:
         out = {}
         for key, p in terms.items():
             if gen:
+                # _accumulate inlined: this loop is every sweep's inner loop
                 for k, q in step(rs, key, payload, exp):
-                    _accumulate(out, k, p if q is ONE else p * q)
+                    q = p if q is ONE else p * q
+                    s = out.get(k)
+                    if s is None:
+                        out[k] = q
+                    elif s := s + q:
+                        out[k] = s
+                    else:
+                        del out[k]
             else:
                 _accumulate(out, move(rs, key, payload), p)
         terms = out

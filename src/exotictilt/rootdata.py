@@ -478,11 +478,9 @@ def _close_roots(rank, simple_roots):
     taken, those with <beta, alpha_i_vee> < 0: every positive beta other
     than alpha_i has some i with s_i beta positive and lower, so the steps
     up from the simple roots reach every positive root."""
-    def unit(i):
-        return tuple(int(j == i) for j in range(rank))
-
+    units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
     # Hand-written: closure over these triples made build_root_system 1.1x slower.
-    seeds = [(alpha, unit(j), unit(j)) for j, alpha in enumerate(simple_roots)]
+    seeds = [(alpha, u, u) for alpha, u in zip(simple_roots, units)]
     seen = {s[0]: s for s in seeds}
     frontier = seeds
     while frontier:
@@ -549,7 +547,7 @@ def build_root_system(spec: str) -> RootSystem:
     offset = 0
     for letter, n in types:
         idx = tuple(range(offset, offset + n))
-        in_comp = [
+        in_comp = pos if len(types) == 1 else [
             r for r in pos if all(r.root_coords[j] == 0 or j in idx
                                   for j in range(rank))
         ]

@@ -494,6 +494,29 @@ def test_gen_step_fixed_cases(spec, lam):
         check_steps(rs, aw.AffineElement(w.matrix, lam))
 
 
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "B2", "G2", "C3", "A1xA2"])
+def test_finite_step_table_cold_and_warm(spec):
+    """gen_step through the finite_step table, first filling it on a fresh
+    root system and then reading it back, against aff_mul and aff_length on
+    a second root system whose table gen_step never touched: every w in W,
+    every generator and every translation of the box of radius 1."""
+    rs, oracle = build_root_system(spec), build_root_system(spec)
+    gens = aw.simple_generators(oracle)
+    elements = [aw.AffineElement(w.matrix, lam) for w in oracle.weyl_group()
+                for lam in aw.weight_box(oracle, 1)]
+    expected = {}
+    for x in elements:
+        lx = aw.aff_length(oracle, x)
+        for gid, s in gens.items():
+            y = aw.aff_mul(oracle, x, s)
+            expected[x, gid] = (y, aw.aff_length(oracle, y) < lx)
+    assert not rs.memo("finite_step")
+    for _ in ("cold", "warm"):
+        assert {(x, gid): aw.gen_step(rs, x, gid)
+                for x, gid in expected} == expected
+    assert len(rs.memo("finite_step")) <= len(oracle.weyl_group()) * len(gens)
+
+
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "B2", "G2", "D4", "A1xA2"])
 def test_steps_on_omega(spec):
     """The length-0 elements: first_descent is None on each, and every step

@@ -568,9 +568,9 @@ def _cap_address_space():
 
 
 def test_out_of_memory_exits_2():
-    """tilt dominant B3 (8,8,8) needs more than 100 MB of address space in
-    text form, and more than 200 MB with --json; capped at 64 MB, the
-    MemoryError ends in one error line and exit 2."""
+    """tilt dominant B3 (8,8,8) needs more than 100 MB of address space,
+    in text form and with --json; capped at 64 MB, the MemoryError ends in
+    one error line and exit 2."""
     cap = 64 << 20
     proc = run_cli_process(
         "tilt", "dominant", "B3", "[8,8,8]", timeout=60,
@@ -578,6 +578,23 @@ def test_out_of_memory_exits_2():
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:"), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_json_of_a_large_class_fits_the_text_forms_memory():
+    """--json encodes a K-class one term at a time: the 11.7 MB document of
+    tilt dominant B3 (8,8,8) prints under a 150 MB address-space cap, with
+    the bytes of an uncapped run.  Built as one list of 47,113 term dicts
+    and then one string, it needed 190-200 MB."""
+    argv = ("tilt", "dominant", "B3", "[8,8,8]", "--json")
+    free = run_cli_process(*argv, timeout=60)
+    cap = 150 << 20
+    capped = run_cli_process(
+        *argv, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (capped.returncode, capped.stderr) == (0, ""), capped.stderr
+    digests = {hashlib.sha256(proc.stdout.encode()).hexdigest()
+               for proc in (free, capped)}
+    assert free.returncode == 0 and len(digests) == 1
 
 
 def test_closed_stdout_exits_141_quietly():
