@@ -297,12 +297,6 @@ class RootSystem:
             for k in range(self.rank)
         )
 
-    def reflection_matrix(self, root: PositiveRoot) -> Matrix:
-        return tuple(
-            tuple(int(k == j) - root.coords[k] * root.coroot[j] for j in range(self.rank))
-            for k in range(self.rank)
-        )
-
     # -- coordinates ----------------------------------------------------------
 
     def root_coords_int(self, lam: Weight):
@@ -342,7 +336,10 @@ class RootSystem:
         element achieving it, delta = length(v).
 
         Repeatedly reflects at the smallest simple index with negative pairing;
-        the resulting v is minimal (exhaustively tested in low rank).
+        the resulting v is minimal.  test_dominant_rep_minimality_exhaustive
+        checks that against all of W in low rank, and
+        test_dominant_rep_w_lambda_and_omega_lengths that len(v) = delta on
+        every type.
         """
         cur = lam
         rows = list(self.identity_matrix)
@@ -359,14 +356,7 @@ class RootSystem:
                 if ak:
                     rows[k] = tuple([x - ak * y for x, y in zip(rows[k], row_i)])
             steps += 1
-        mat = tuple(rows)
-        v = WeylElement(mat, steps)
-        if self.weyl_length(mat) != steps:
-            raise AssertionError(
-                f"dominant_rep of {lam}: {steps} reflections but length "
-                f"{self.weyl_length(mat)}"
-            )
-        return cur, v, steps
+        return cur, WeylElement(tuple(rows), steps), steps
 
     def dom(self, lam: Weight) -> Weight:
         return self.dominant_rep(lam)[0]

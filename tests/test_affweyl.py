@@ -377,13 +377,21 @@ def test_length_invariants_radius4(b2):
 # --- the closed-form generator step against the general path --------------
 
 
+def reflection_matrix(rs, root):
+    """The matrix of s_beta on fundamental coordinates, beta = root."""
+    return tuple(
+        tuple(int(k == j) - root.coords[k] * root.coroot[j] for j in range(rs.rank))
+        for k in range(rs.rank)
+    )
+
+
 def oracle_affine_generators(rs):
     """The affine generators by brute-force search: for each component, the
     unique s_gamma t_{-gamma} of length 1 over its positive roots gamma."""
     out = {}
     for c, (indices, _) in enumerate(rs.components):
         found = [
-            aw.AffineElement(rs.reflection_matrix(r), rs.neg(r.coords))
+            aw.AffineElement(reflection_matrix(rs, r), rs.neg(r.coords))
             for r in rs.positive_roots
             if all(r.root_coords[j] == 0 or j in indices for j in range(rs.rank))
         ]
@@ -423,6 +431,26 @@ def test_affine_generators_match_search(spec):
     for i in range(rs.rank):
         assert gens[i + 1] == aw.AffineElement(
             rs.simple_reflection_matrix(i), rs.zero())
+
+
+@pytest.mark.parametrize("spec", IRREDUCIBLE_UP_TO_RANK_8 + PRODUCTS)
+def test_dominant_rep_w_lambda_and_omega_lengths(spec):
+    """The length facts the library does not re-check inline: dominant_rep's
+    word has length delta, w_lam is t_lam shortened by delta, and Omega has
+    length 0, at -rho and every +-omega_i."""
+    rs = get_rs(spec)
+    weights = [rs.neg((1,) * rs.rank)]
+    for f in rs.identity_matrix:
+        weights += [f, rs.neg(f)]
+    for lam in weights:
+        dom, v, steps = rs.dominant_rep(lam)
+        assert rs.apply(v.matrix, lam) == dom and rs.is_dominant(dom)
+        assert rs.weyl_length(v.matrix) == steps == rs.delta(lam)
+        w_lam, delta = aw.w_lambda(rs, lam)
+        assert aw.aff_length(rs, w_lam) == aw.aff_length(
+            rs, aw.t_lambda(rs, lam)) - delta
+    assert all(aw.aff_length(rs, om) == 0
+               for om in aw.omega_elements(rs).values())
 
 
 def old_left_step(rs, x, gid):

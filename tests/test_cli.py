@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from conftest import child_env, run_cli_process
+from conftest import child_env, run_cli_process, run_python
 from exotictilt import affweyl, build_root_system, cli
+from exotictilt.exotic_k import KClass
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +146,27 @@ def test_reconcile(tmp_path, capsys):
     path.write_text(json.dumps(char))
     code, out, _ = run_cli(capsys, "reconcile", "A2", str(path))
     assert (code, out) == (0, "match")
+
+
+def test_reconcile_mismatch_exits_1(tmp_path, capsys, monkeypatch):
+    """With one costandard coefficient doubled, reconcile names the weight
+    where the two computations differ and exits 1."""
+    real = cli.tiltmult.costandard_expansion
+
+    def rigged(rs, cm):
+        terms = dict(real(rs, cm).terms)
+        terms[-2, 1] *= 2
+        return KClass(terms)
+    monkeypatch.setattr(cli.tiltmult, "costandard_expansion", rigged)
+    char = {"basis": "good", "mults": [{"weight": [1, 1], "count": 1}]}
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps(char))
+    code, out, _ = run_cli(capsys, "reconcile", "A2", str(path))
+    assert (code, out) == (1, "mismatch at [-2, 1]")
+    code, out, _ = run_cli(capsys, "reconcile", "A2", str(path), "--json")
+    assert (code, out) == (1, '{"detail": [{"costandard": [[2, 2]], '
+                              '"tensor": [[2, 1]], "weight": [-2, 1]}], '
+                              '"status": "mismatch"}')
 
 
 def test_verify_exit_codes(capsys, monkeypatch):
@@ -595,6 +617,22 @@ def test_json_of_a_large_class_fits_the_text_forms_memory():
     digests = {hashlib.sha256(proc.stdout.encode()).hexdigest()
                for proc in (free, capped)}
     assert free.returncode == 0 and len(digests) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "A2", "--radius", "1"),
+    ("theta", "G2", "[-2,-2]", "--json"),
+    ("tilt", "dominant", "B2", "[1,1]", "--json"),
+    ("qanalogue", "B3", "[1,1,1]", "[0,0,0]"),
+])
+def test_optimized_python_runs_the_same_program(argv):
+    """No result rests on an assert statement: under python -O each
+    command prints the same output and exits with the same code."""
+    plain = run_python("-m", "exotictilt.cli", *argv, timeout=60)
+    optimized = run_python("-O", "-m", "exotictilt.cli", *argv, timeout=60)
+    assert (optimized.stdout, optimized.returncode) == (
+        plain.stdout, plain.returncode)
+    assert plain.returncode == 0 and plain.stdout
 
 
 def test_closed_stdout_exits_141_quietly():

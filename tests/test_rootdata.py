@@ -173,7 +173,7 @@ def test_dominant_rep_minimality_exhaustive():
         for lam in itertools.product(range(-2, 3), repeat=rs.rank):
             dom, v, delta = rs.dominant_rep(lam)
             assert rs.apply(v.matrix, lam) == dom
-            assert v.length == delta
+            assert rs.weyl_length(v.matrix) == delta == rs.delta(lam)
             best = min(
                 w.length for w in welts
                 if rs.is_dominant(rs.apply(w.matrix, lam))

@@ -163,8 +163,10 @@ def test_no_dead_locals():
 # word; the Bruhat walk takes first_descent, with no generator search of its
 # own; the K-module's descent iterates gen_roots, building no generator
 # list per step; the Hecke renderers read one shared term list, asking no word or
-# length of their own, directly, through element_str or a sort key; and
-# act_hecke takes a Hecke element only, with no switch on a word type.
+# length of their own, directly, through element_str or a sort key;
+# act_hecke takes a Hecke element only, with no switch on a word type; and
+# dominant_rep, w_lambda, gen_roots and omega_elements re-prove no length
+# inline, since tier-1 and verify check those invariants once, on every type.
 NO_OMEGA_SPLIT = {"omega_of_weight", "aff_inv", "reduced_word"}
 SHARED_TERMS = {"reduced_word", "aff_length", "element_str", "_hecke_sort_key"}
 REPLACED_CALLS = {
@@ -181,6 +183,10 @@ REPLACED_CALLS = {
     ("cli.py", "hecke_str"): SHARED_TERMS,
     ("cli.py", "hecke_json"): SHARED_TERMS,
     ("exotic_k.py", "act_hecke"): {"isinstance", "BraidWord"},
+    ("rootdata.py", "dominant_rep"): {"weyl_length"},
+    ("affweyl.py", "w_lambda"): {"aff_length"},
+    ("affweyl.py", "gen_roots"): {"aff_length"},
+    ("affweyl.py", "omega_elements"): {"aff_length"},
 }
 
 

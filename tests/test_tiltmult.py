@@ -181,3 +181,25 @@ def test_reconcile_weyl_basis_input_accepted(a2):
 def test_reconcile_report_shape(a1):
     rep = tm.reconcile(a1, good_char(a1, {(2,): 1}))
     assert rep.status == "match" and rep.detail == []
+
+
+def test_reconcile_mismatch_detail(a2, monkeypatch):
+    """A costandard expansion off at three weights: one detail row each,
+    sorted by weight, with both coefficients as [exponent, coefficient]
+    pairs."""
+    real = tm.costandard_expansion
+
+    def rigged(rs, cm):
+        terms = dict(real(rs, cm).terms)
+        for mu in [(1, -2), (0, 0), (-2, 1)]:
+            terms[mu] *= 2
+        return KClass(terms)
+    monkeypatch.setattr(tm, "costandard_expansion", rigged)
+    rep = tm.reconcile(a2, good_char(a2, {(1, 1): 1}))
+    assert not rep.matched and rep.status == "mismatch"
+    assert rep.detail == [
+        {"weight": [-2, 1], "tensor": [[2, 1]], "costandard": [[2, 2]]},
+        {"weight": [0, 0], "tensor": [[2, 1], [4, 1]],
+         "costandard": [[2, 2], [4, 2]]},
+        {"weight": [1, -2], "tensor": [[2, 1]], "costandard": [[2, 2]]},
+    ]
