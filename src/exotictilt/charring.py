@@ -9,10 +9,10 @@ characteristic tilting characters enter only as user-supplied multisets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import ge, le, mul
+from typing import NamedTuple
 
 from .laurent import LaurentPoly, ZERO
 from .rootdata import RootSystem, RootSystemError, Weight, memoized
@@ -24,8 +24,7 @@ WEYL_BASIS = "Weyl"
 GOOD_BASIS = "good"
 
 
-@dataclass(frozen=True)
-class CharacterMultiset:
+class CharacterMultiset(NamedTuple):
     """Multiplicities of a G-module in the Weyl (M) or good (N) filtration
     basis: a finite map dominant weight -> positive integer."""
 

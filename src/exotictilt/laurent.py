@@ -47,7 +47,13 @@ class LaurentPoly:
         return self.c == other.c
 
     def __hash__(self):
-        return hash(frozenset(self.c.items()))
+        # a constant equals its int, so it hashes as that int (zero as 0)
+        c = self.c
+        if not c:
+            return 0
+        if len(c) == 1 and 0 in c:
+            return hash(c[0])
+        return hash(frozenset(c.items()))
 
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.c.items()})

@@ -17,7 +17,6 @@ so the weight lattice is the full lattice Z^rank and X / Z.Phi is finite.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import wraps
 from math import gcd, lcm
 from operator import mul
@@ -40,8 +39,7 @@ class PositiveRoot(NamedTuple):
     coroot: tuple         # functional: <lam, coroot> = dot(coroot, lam)
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     matrix: Matrix
     length: int
 
@@ -230,23 +228,53 @@ def memoized(name: str):
 # Root system
 
 
-@dataclass
 class RootSystem:
-    spec: str
-    rank: int
-    cartan_matrix: Matrix
-    simple_roots: tuple            # of Weight (columns of the Cartan matrix)
-    positive_roots: tuple          # of PositiveRoot
-    components: tuple              # of (indices tuple, highest_root: PositiveRoot)
-    symmetrizers: tuple            # d_i with (alpha_i, alpha_i) = 2 d_i
-    cartan_det: int                # det A > 0
-    cartan_adjugate: Matrix        # det A * A^-1: det A * root coordinates
-    height_row: tuple              # det A * ht(lam) = <height_row, lam>
-    identity_matrix: Matrix
-    coroot_rows: tuple             # coroot functionals of the positive roots
-    # memo tables by name, made on first use
-    _cache: dict = field(default_factory=lambda: defaultdict(dict),
-                         repr=False, compare=False)
+    """A root system's data, all functions of its canonical spec, and its
+    memo tables.  Two root systems are equal when their specs are; they are
+    unhashable, since their memo tables grow."""
+
+    __slots__ = (
+        "spec",
+        "rank",
+        "cartan_matrix",
+        "simple_roots",      # of Weight (columns of the Cartan matrix)
+        "positive_roots",    # of PositiveRoot
+        "components",        # of (indices tuple, highest_root: PositiveRoot)
+        "symmetrizers",      # d_i with (alpha_i, alpha_i) = 2 d_i
+        "cartan_det",        # det A > 0
+        "cartan_adjugate",   # det A * A^-1: det A * root coordinates
+        "height_row",        # det A * ht(lam) = <height_row, lam>
+        "identity_matrix",
+        "coroot_rows",       # coroot functionals of the positive roots
+        "_cache",            # memo tables by name, made on first use
+    )
+
+    def __init__(self, spec, rank, cartan_matrix, simple_roots,
+                 positive_roots, components, symmetrizers, cartan_det,
+                 cartan_adjugate, height_row, identity_matrix, coroot_rows):
+        self.spec = spec
+        self.rank = rank
+        self.cartan_matrix = cartan_matrix
+        self.simple_roots = simple_roots
+        self.positive_roots = positive_roots
+        self.components = components
+        self.symmetrizers = symmetrizers
+        self.cartan_det = cartan_det
+        self.cartan_adjugate = cartan_adjugate
+        self.height_row = height_row
+        self.identity_matrix = identity_matrix
+        self.coroot_rows = coroot_rows
+        self._cache = defaultdict(dict)
+
+    def __eq__(self, other):
+        if type(other) is not RootSystem:
+            return NotImplemented
+        return self.spec == other.spec
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"RootSystem({self.spec!r})"
 
     # -- small linear algebra -------------------------------------------------
 
@@ -505,9 +533,13 @@ def build_root_system(spec: str) -> RootSystem:
     parts = [p.strip() for p in spec.split("x")]
     types = []
     for p in parts:
-        if len(p) < 2 or p[0].upper() not in "ABCDEFG" or not p[1:].isdigit():
+        digits = p[1:]
+        # str.isdigit also accepts superscripts and other scripts' digits,
+        # which int() rejects or reads as ASCII ones
+        if (len(p) < 2 or p[0].upper() not in "ABCDEFG"
+                or not (digits.isascii() and digits.isdigit())):
             raise RootSystemError(f"unknown root-system spec {p!r}")
-        types.append((p[0].upper(), int(p[1:])))
+        types.append((p[0].upper(), int(digits)))
     total = sum(n for _, n in types)
     if total > MAX_RANK:
         raise RootSystemError(f"total rank {total} exceeds bound {MAX_RANK}")

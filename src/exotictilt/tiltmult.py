@@ -18,7 +18,7 @@ independently by the line-bundle filtration of V (x) O (tensor_class), which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .laurent import LaurentPoly, ZERO
 from .rootdata import RootSystem, Weight
@@ -117,10 +117,9 @@ def dominant_tilting_class(rs: RootSystem, lam: Weight,
 # Reconciliation oracle
 
 
-@dataclass
-class ReconcileReport:
+class ReconcileReport(NamedTuple):
     status: str                   # "match" | "mismatch"
-    detail: list = field(default_factory=list)
+    detail: list                  # one row per weight where they differ
 
     @property
     def matched(self) -> bool:
@@ -135,7 +134,7 @@ def reconcile(rs: RootSystem, cm: CharacterMultiset) -> ReconcileReport:
     )
     by_costd = costandard_expansion(rs, cm)
     if by_tensor == by_costd:
-        return ReconcileReport("match")
+        return ReconcileReport("match", [])
     detail = []
     for mu in sorted(set(by_tensor.terms) | set(by_costd.terms)):
         a = by_tensor.coefficient(mu)

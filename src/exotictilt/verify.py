@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from dataclasses import dataclass, field
 from itertools import islice
 from operator import mul
 
@@ -66,13 +65,15 @@ MODULE_BOUND = 10**4
 ANCHORS_BOUND = 10**4
 
 
-@dataclass
 class Report:
     """Checks made by one suite, and the details of those that failed."""
 
-    name: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = ("name", "checked", "failures")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.failures = []
 
     @property
     def passed(self) -> bool:

@@ -173,16 +173,32 @@ def test_verify_exit_codes(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "A1", "--suite", "order",
                            "--radius", "2")
     assert code == 0 and "pass" in out
-    from exotictilt.verify import Report
+    from exotictilt import verify
 
     def failing(rs, which, radius, seed=0):
-        rep = Report("rigged")
+        rep = verify.Report("rigged")
         rep.check(False, "counterexample lam=(1,)")
         return [rep]
 
-    monkeypatch.setattr(cli.verify, "run_suites", failing)
+    monkeypatch.setattr(verify, "run_suites", failing)
     code, out, _ = run_cli(capsys, "verify", "A1")
     assert code == 1 and "counterexample" in out
+
+
+def test_suite_names_are_the_verify_suites():
+    """The --suite choices come from cli.SUITE_NAMES, so that building the
+    parser does not import verify."""
+    from exotictilt import verify
+    assert cli.SUITE_NAMES == tuple(verify.SUITES)
+
+
+def test_import_loads_neither_verify_nor_dataclasses():
+    """A one-shot command pays for what importing cli loads: verify loads
+    only with the verify command, and no class is built by dataclasses.
+    In a child process, since pytest has imported dataclasses itself."""
+    proc = run_python("-S", "-c", "import exotictilt.cli, sys; print(sorted("
+                      "{'exotictilt.verify', 'dataclasses'} & set(sys.modules)))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 LAZY_CASES = [

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from exotictilt import cli
 
-SPECS = ["A1", "A2", "B2", "G2", "A1xA1", "A0", "Q2", "A1x", ""]
+SPECS = ["A1", "A2", "B2", "G2", "A1xA1", "A0", "Q2", "A1x", "", "A²", "A٣"]
 
 INTS = st.integers(-3, 3)
 WEIGHTS = st.one_of(

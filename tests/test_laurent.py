@@ -84,6 +84,20 @@ def test_no_zero_coefficients_stored(p):
     assert p - p == ZERO
 
 
+@given(polys, st.integers(-2**70, 2**70))
+def test_hash_agrees_with_equality(p, n):
+    """Equal objects hash equally.  A constant polynomial equals its int,
+    zero included, so a set or dict takes either for the other."""
+    const = LaurentPoly({0: n})
+    assert const == n and hash(const) == hash(n)
+    assert n in {const} and len({n, const}) == 1
+    assert ZERO == 0 and len({0, ZERO}) == 1
+    copy = LaurentPoly(dict(p.c))
+    assert hash(p) == hash(copy) and len({p, copy}) == 1
+    if not set(p.c) <= {0}:
+        assert p not in {n, 0} and n not in {p}
+
+
 def test_combination_is_the_one_sparse_type():
     assert HeckeElement is KClass is Combination
 

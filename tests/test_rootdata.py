@@ -114,6 +114,24 @@ def test_unknown_type_and_rank_bound():
         build_root_system("D3")
 
 
+@pytest.mark.parametrize("spec", ["A²", "A①", "A٣", "B０2", "A1xG²"])
+def test_spec_rank_needs_ascii_digits(spec):
+    """str.isdigit also holds for superscripts, which int() rejects, and
+    for other scripts' digits, which int() reads as ASCII ones."""
+    with pytest.raises(RootSystemError, match="unknown root-system spec"):
+        build_root_system(spec)
+
+
+def test_root_systems_equal_by_spec_and_unhashable():
+    """Every field of a root system is a function of its canonical spec;
+    each instance has its own memo tables, which only grow."""
+    a, b = build_root_system("A1 x A2"), build_root_system("a1xa2")
+    assert a == b and a is not b and a != build_root_system("A2xA1")
+    assert a.memo("t") is not b.memo("t")
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 @pytest.mark.parametrize("a", [
     ((2, -2), (-2, 2)),     # affine A1: zero pivot
     ((2, -4), (-1, 2)),     # affine A2(2): zero pivot

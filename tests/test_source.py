@@ -38,8 +38,9 @@ def test_no_streaming_json_dump():
 
 
 def test_memo_tables_are_reached_only_through_memo():
-    """Memo tables live in RootSystem._cache, which only RootSystem.memo
-    and rootdata.memoized touch; everything else goes through them."""
+    """Memo tables live in RootSystem._cache, which only RootSystem's
+    __init__ (which makes it) and memo, and rootdata.memoized, touch;
+    everything else goes through them."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -47,11 +48,27 @@ def test_memo_tables_are_reached_only_through_memo():
         if path.name == "rootdata.py":
             for node in ast.walk(tree):
                 if isinstance(node, ast.FunctionDef) and node.name in (
-                        "memo", "memoized"):
+                        "__init__", "memo", "memoized"):
                     allowed.update(map(id, ast.walk(node)))
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and node.attr == "_cache"
                     and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_no_dataclasses():
+    """dataclasses builds each class's methods from generated source, and
+    importing it pulls in inspect and ast: together most of the import
+    time of a one-shot command.  Records are NamedTuples or classes with
+    __slots__."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
 
