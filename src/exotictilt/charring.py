@@ -242,14 +242,14 @@ def lusztig_q(rs: RootSystem, lam: Weight, mu: Weight) -> LaurentPoly:
 @memoized("freudenthal")
 def _dominant_mult_table(rs: RootSystem, lam: Weight) -> dict:
     """dominant weight -> dim M(lam)_weight, by the Freudenthal recursion on
-    det A * ( , ); det A cancels between the sum and the divisor."""
+    the W-invariant form rs.inner."""
     if not rs.is_dominant(lam):
         raise ValueError("Freudenthal table needs a dominant highest weight")
     doms = rs.dominant_below(lam)
     doms.sort(key=lambda mu: sum(map(mul, rs.height_row, rs.sub(lam, mu))))
     rho = rs.rho
-    lam_norm = rs.det_inner(rs.add(lam, rho), rs.add(lam, rho))
-    lam_sq = rs.det_inner(lam, lam)
+    lam_norm = rs.inner(rs.add(lam, rho), rs.add(lam, rho))
+    lam_sq = rs.inner(lam, lam)
     table = {}
     for mu in doms:
         if mu == lam:
@@ -260,13 +260,13 @@ def _dominant_mult_table(rs: RootSystem, lam: Weight) -> dict:
             k = 1
             while True:
                 up = rs.add(mu, tuple(k * a for a in root.coords))
-                if rs.det_inner(up, up) > lam_sq:
+                if rs.inner(up, up) > lam_sq:
                     break
                 m = table.get(rs.dom(up), 0)
                 if m:
-                    num += 2 * m * rs.det_inner(up, root.coords)
+                    num += 2 * m * rs.inner(up, root.coords)
                 k += 1
-        denom = lam_norm - rs.det_inner(rs.add(mu, rho), rs.add(mu, rho))
+        denom = lam_norm - rs.inner(rs.add(mu, rho), rs.add(mu, rho))
         val, rem = divmod(num, denom)
         if rem or val < 0:
             raise AssertionError(

@@ -3,11 +3,13 @@
 Data syntax:
   * weights: "[a1,...,ar]" in fundamental-weight coordinates;
   * affine elements: whitespace/'*'-separated products of tokens
-    "e", "s<k>" (simple reflections; "s0" is the affine one), "t[...]"
-    (translations) and "o[...]" (the length-0 element in the Z.Phi-class of
-    the bracketed weight), e.g. "s1 s2*t[1,0]";
+    "e", "s<k>" (simple reflections, k an optional '-' and ASCII digits;
+    "s0" is the affine one), "t[...]" (translations) and "o[...]" (the
+    length-0 element in the Z.Phi-class of the bracketed weight), e.g.
+    "s1 s2*t[1,0]";
   * character files: JSON {"basis": "Weyl"|"good",
-                           "mults": [{"weight": [...], "count": n}, ...]}.
+                           "mults": [{"weight": [...], "count": n}, ...]};
+  * --radius: ASCII digits; --seed: an optional '-' and ASCII digits.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error or
 out of memory, 141 stdout closed by its reader (the status a shell reports
@@ -23,10 +25,11 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .laurent import LaurentPoly, ONE
-from .rootdata import RootSystem, RootSystemError, build_root_system
+from .rootdata import RootSystem, build_root_system
 from . import affweyl, charring, exotic_k, heckebraid, tiltmult
 from .affweyl import AffineElement
 from .charring import GOOD_BASIS, WEYL_BASIS, CharacterMultiset
@@ -37,10 +40,6 @@ CACHE_VERSION = 1
 # The names of verify.SUITES, so that building the parser does not import
 # verify: only the verify command loads it.
 SUITE_NAMES = ("bernstein", "module", "order", "anchors")
-
-
-class CliError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +57,9 @@ def parse_weight(rs: RootSystem, text: str):
     try:
         coords = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise CliError(f"bad weight literal {_shown(text)}: {exc}") from None
+        raise ValueError(f"bad weight literal {_shown(text)}: {exc}") from None
     if not _is_int_list(coords, rs.rank):
-        raise CliError(f"weight {_shown(text)} must be {rs.rank} integers")
+        raise ValueError(f"weight {_shown(text)} must be {rs.rank} integers")
     return tuple(coords)
 
 
@@ -70,6 +69,16 @@ def _is_int(x) -> bool:
 
 def _is_int_list(x, length) -> bool:
     return isinstance(x, list) and len(x) == length and all(map(_is_int, x))
+
+
+def _ascii_int(text: str):
+    """int(text) for an optional '-' and ASCII digits, else None: int()
+    alone also takes '+', '_', spaces and other scripts' digits, and raises
+    past sys.get_int_max_str_digits() digits."""
+    try:
+        return int(text) if re.fullmatch("-?[0-9]+", text) else None
+    except ValueError:
+        return None
 
 
 def parse_element(rs: RootSystem, text: str) -> AffineElement:
@@ -87,7 +96,7 @@ def parse_element(rs: RootSystem, text: str) -> AffineElement:
         elif token.startswith("s"):
             x = affweyl.aff_mul(rs, x, gens[parse_generator(rs, token)])
         else:
-            raise CliError(f"bad element token {_shown(token)}")
+            raise ValueError(f"bad element token {_shown(token)}")
     return x
 
 
@@ -97,27 +106,26 @@ def parse_omega_arg(rs: RootSystem, text: str) -> AffineElement:
     if text == "omega":
         # |Omega| = det A, so a unique nontrivial element needs det A = 2
         if rs.cartan_det != 2:
-            raise CliError(
+            raise ValueError(
                 "'omega' is ambiguous here; use o[...] with a class representative"
             )
         return affweyl.omega_of_weight(rs, next(
             f for f in rs.identity_matrix if any(affweyl.coset_class_key(rs, f))))
     x = parse_element(rs, text)
     if affweyl.aff_length(rs, x) != 0:
-        raise CliError(f"element {_shown(text)} does not have length 0")
+        raise ValueError(f"element {_shown(text)} does not have length 0")
     return x
 
 
 def parse_generator(rs: RootSystem, token: str) -> int:
     """The generator id of a token "s<k>" naming a simple reflection of rs."""
     if not token.startswith("s"):
-        raise CliError(f"expected a generator token, got {_shown(token)}")
-    try:
-        gid = int(token[1:])
-    except ValueError:
-        raise CliError(f"bad generator token {_shown(token)}") from None
+        raise ValueError(f"expected a generator token, got {_shown(token)}")
+    gid = _ascii_int(token[1:])
+    if gid is None:
+        raise ValueError(f"bad generator token {_shown(token)}")
     if gid not in affweyl.simple_generators(rs):
-        raise CliError(f"no simple reflection {_shown(token)} in {rs.spec}")
+        raise ValueError(f"no simple reflection {_shown(token)} in {rs.spec}")
     return gid
 
 
@@ -126,30 +134,27 @@ def load_character(rs: RootSystem, path: str) -> CharacterMultiset:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
-        raise CliError(f"cannot read character file {path}: {exc}") from None
+        raise ValueError(f"cannot read character file {path}: {exc}") from None
     if not isinstance(doc, dict) or "basis" not in doc or "mults" not in doc:
-        raise CliError("character file needs 'basis' and 'mults' fields")
+        raise ValueError("character file needs 'basis' and 'mults' fields")
     if doc["basis"] not in (WEYL_BASIS, GOOD_BASIS):
-        raise CliError(f"unknown basis kind {_shown(doc['basis'])}")
+        raise ValueError(f"unknown basis kind {_shown(doc['basis'])}")
     if not isinstance(doc["mults"], list):
-        raise CliError("character file 'mults' must be a list")
+        raise ValueError("character file 'mults' must be a list")
     mults = {}
     for rec in doc["mults"]:
         if not isinstance(rec, dict) or "weight" not in rec or "count" not in rec:
-            raise CliError(
+            raise ValueError(
                 f"character record {_shown(rec)} needs 'weight' and 'count' fields"
             )
         w, count = rec["weight"], rec["count"]
         if not _is_int_list(w, rs.rank):
-            raise CliError(f"character weight {_shown(w)} must be {rs.rank} integers")
+            raise ValueError(f"character weight {_shown(w)} must be {rs.rank} integers")
         if not _is_int(count):
-            raise CliError(f"character count {_shown(count)} must be an integer")
+            raise ValueError(f"character count {_shown(count)} must be an integer")
         w = tuple(w)
         mults[w] = mults.get(w, 0) + count
-    try:
-        return CharacterMultiset.of(rs, mults, doc["basis"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return CharacterMultiset.of(rs, mults, doc["basis"])
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +277,7 @@ def save_cache(rs: RootSystem, path, loaded: int):
     """Merge the Kostant memo of rs into the cache file, if it holds more
     than the `loaded` entries load_cache left in it.  The file is replaced
     atomically, so a reader never sees a partial document; a path that
-    cannot be written raises CliError."""
+    cannot be written raises ValueError."""
     memo = rs.memo("kostant")
     if not path or len(memo) <= loaded:
         return
@@ -292,7 +297,7 @@ def save_cache(rs: RootSystem, path, loaded: int):
             fh.write(json.dumps(doc, sort_keys=True))
         os.replace(tmp, path)
     except OSError as exc:
-        raise CliError(f"cannot write cache file {path}: {exc}") from None
+        raise ValueError(f"cannot write cache file {path}: {exc}") from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -386,8 +391,8 @@ def cmd_theta(rs, args):
 
 def cmd_kclass(rs, args):
     if args.kind != "bs" and len(args.args) != 1:
-        raise CliError(f"kclass {args.kind} takes one weight, "
-                       f"got {len(args.args)} arguments")
+        raise ValueError(f"kclass {args.kind} takes one weight, "
+                         f"got {len(args.args)} arguments")
     if args.kind == "line":
         c = exotic_k.line_bundle_class(rs, parse_weight(rs, args.args[0]))
     elif args.kind == "delta":
@@ -463,12 +468,19 @@ def cmd_verify(rs, args):
 
 
 def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}") from None
+    value = _ascii_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = _ascii_int(text)
+    if value is None:
+        # the refusal argparse prints for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return value
 
 
@@ -480,7 +492,7 @@ def build_parser():
                         help="emit JSON on stdout")
     common.add_argument("--cache", default=argparse.SUPPRESS,
                         help="path of the Kostant-table cache file")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
                         help="seed for randomized verification suites")
     parser = argparse.ArgumentParser(
         prog="exotictilt",
@@ -544,14 +556,10 @@ def run(argv) -> int:
     args.seed = getattr(args, "seed", 0)
     try:
         rs = build_root_system(args.spec)
-    except RootSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    loaded = load_cache(rs, args.cache)
-    try:
+        loaded = load_cache(rs, args.cache)
         code = args.fn(rs, args)
         save_cache(rs, args.cache, loaded)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -171,7 +171,7 @@ def _line_bundles(rs, weights) -> dict:
     first and no sweep is made."""
     table = rs.memo("line_bundle")
     todo = sorted({lam for lam in weights if lam not in table},
-                  key=lambda lam: (rs.det_inner(lam, lam), rs.delta(lam)))
+                  key=lambda lam: (rs.inner(lam, lam), rs.delta(lam)))
     for lam in todo:
         i, inputs = _reflection_inputs(rs, lam)
         if i is None:

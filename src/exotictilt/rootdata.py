@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import wraps
-from math import gcd, lcm
 from operator import mul
 from typing import Iterator, NamedTuple
 
@@ -105,13 +104,14 @@ def _cartan_matrix(letter: str, n: int):
 
 
 def _validate_cartan(a) -> tuple:
-    """Check a Cartan matrix of finite type; return its symmetrizers d,
-    det a and det a * a^-1.
+    """Check a Cartan matrix of finite type; return (det a, det a * a^-1)
+    from one fraction-free Gauss-Jordan pass on [a | I], without row
+    exchanges.
 
-    D*A is symmetric; it is positive definite iff its leading principal
-    minors are all positive (Sylvester).  Those are (d_1 ... d_k) det A_k
-    with every d_i > 0, so the pivots of one elimination pass on A decide
-    it."""
+    D*A is symmetric for a positive diagonal D, and positive definite iff
+    its leading principal minors (d_1 ... d_k) det A_k are all positive
+    (Sylvester).  The k-th pivot is det A_k and every entry is a minor, so
+    each division is exact, and a pivot <= 0 raises RootSystemError."""
     n = len(a)
     for i in range(n):
         if a[i][i] != 2:
@@ -119,40 +119,6 @@ def _validate_cartan(a) -> tuple:
         for j in range(n):
             if i != j and (a[i][j] > 0 or (a[i][j] == 0) != (a[j][i] == 0)):
                 raise RootSystemError("invalid Cartan off-diagonal entries")
-    return (_symmetrizers(a), *_det_adjugate(a))
-
-
-def _symmetrizers(a):
-    """Positive integers d with d[i]*a[i][j] == d[j]*a[j][i], as a primitive
-    vector: d[j] = d[i] * a[i][j] / a[j][i] along the Dynkin diagram, carried
-    as integer numerators and denominators."""
-    n = len(a)
-    num, den = [0] * n, [1] * n
-    for start in range(n):
-        if num[start]:
-            continue
-        num[start] = 1
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if a[i][j] and i != j and not num[j]:
-                    num[j], den[j] = num[i] * -a[i][j], den[i] * -a[j][i]
-                    stack.append(j)
-    common = lcm(*den)
-    ints = [x * (common // y) for x, y in zip(num, den)]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
-
-
-def _det_adjugate(a):
-    """(det a, det a * a^-1) from one fraction-free Gauss-Jordan pass on
-    [a | I], without row exchanges.
-
-    The k-th pivot is the k-th leading principal minor of a and every entry
-    is a minor, so each division is exact.  A pivot <= 0 raises
-    RootSystemError: a Cartan matrix with one is not of finite type."""
-    n = len(a)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     prev = 1
     for k in range(n):
@@ -240,7 +206,6 @@ class RootSystem:
         "simple_roots",      # of Weight (columns of the Cartan matrix)
         "positive_roots",    # of PositiveRoot
         "components",        # of (indices tuple, highest_root: PositiveRoot)
-        "symmetrizers",      # d_i with (alpha_i, alpha_i) = 2 d_i
         "cartan_det",        # det A > 0
         "cartan_adjugate",   # det A * A^-1: det A * root coordinates
         "height_row",        # det A * ht(lam) = <height_row, lam>
@@ -250,7 +215,7 @@ class RootSystem:
     )
 
     def __init__(self, spec, rank, cartan_matrix, simple_roots,
-                 positive_roots, components, symmetrizers, cartan_det,
+                 positive_roots, components, cartan_det,
                  cartan_adjugate, height_row, identity_matrix, coroot_rows):
         self.spec = spec
         self.rank = rank
@@ -258,7 +223,6 @@ class RootSystem:
         self.simple_roots = simple_roots
         self.positive_roots = positive_roots
         self.components = components
-        self.symmetrizers = symmetrizers
         self.cartan_det = cartan_det
         self.cartan_adjugate = cartan_adjugate
         self.height_row = height_row
@@ -338,14 +302,16 @@ class RootSystem:
             out.append(q)
         return tuple(out)
 
-    def det_inner(self, lam: Weight, mu: Weight) -> int:
-        """det A * (lam, mu) for the W-invariant inner product with
-        (alpha_i, alpha_i) = 2 d_i: (lam, alpha_j) = d_j lam_j, and det A
-        times mu's simple-root coordinates is the adjugate applied to mu."""
-        return sum(
-            sum(map(mul, row, mu)) * dj * lj
-            for row, dj, lj in zip(self.cartan_adjugate, self.symmetrizers, lam)
-        )
+    @memoized("gram")
+    def _gram(self) -> Matrix:
+        """G = sum over alpha > 0 of alpha_vee alpha_vee^T."""
+        return self.mat_mul(tuple(zip(*self.coroot_rows)), self.coroot_rows)
+
+    def inner(self, lam: Weight, mu: Weight) -> int:
+        """(lam, mu) = lam^T G mu = sum_{alpha>0} <lam, alpha_vee><mu, alpha_vee>.
+        W permutes the coroots up to sign, so the form is W-invariant; on
+        each irreducible component it is a positive multiple of Bourbaki's."""
+        return sum(sum(map(mul, row, mu)) * lj for row, lj in zip(self._gram(), lam))
 
     # -- dominance -------------------------------------------------------------
 
@@ -553,7 +519,7 @@ def build_root_system(spec: str) -> RootSystem:
             cartan.append((0,) * offset + row + (0,) * (total - offset - n))
         offset += n
     cartan = tuple(cartan)
-    symmetrizers, det, adjugate = _validate_cartan(cartan)
+    det, adjugate = _validate_cartan(cartan)
 
     rank = total
     simple_roots = tuple(zip(*cartan))
@@ -583,7 +549,6 @@ def build_root_system(spec: str) -> RootSystem:
         simple_roots=simple_roots,
         positive_roots=pos,
         components=tuple(comps),
-        symmetrizers=symmetrizers,
         cartan_det=det,
         cartan_adjugate=adjugate,
         height_row=tuple(map(sum, zip(*adjugate))),

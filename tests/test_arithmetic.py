@@ -228,10 +228,41 @@ def test_weyl_arithmetic_matches_oracles(data):
     det = rs.cartan_det
     assert aw.coset_class_key(rs, lam) == tuple(
         det * (q - q.__floor__()) for q in oracle_root_coords(rs, lam))
-    # (lam, mu) = sum_j d_j lam_j c_j, c the simple-root coordinates of mu
-    assert rs.det_inner(lam, mu) == det * sum(
-        d * a * c for d, a, c in
-        zip(rs.symmetrizers, lam, oracle_root_coords(rs, mu)))
+
+
+def oracle_inner(rs, lam, mu):
+    """Bourbaki's (lam, mu) = sum_j d_j lam_j c_j, with (alpha_j, alpha_j) =
+    2 d_j and c the simple-root coordinates of mu."""
+    d = oracle_symmetrizers(rs.cartan_matrix)
+    return sum(dj * a * c for dj, a, c in zip(d, lam, oracle_root_coords(rs, mu)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_inner_is_the_coroot_form(data):
+    """inner(lam, mu) = sum_{alpha>0} <lam, alpha_vee><mu, alpha_vee>; it
+    is W-invariant, and on each irreducible component a fixed positive
+    multiple of Bourbaki's form, so Freudenthal's recursion and the
+    line-bundle order read the same on it."""
+    rs = get_rs(data.draw(st.sampled_from(SPECS + ["A1xA2", "B2xG2", "D4"])))
+    weights = st.tuples(*[st.integers(-4, 4)] * rs.rank)
+    lam, mu = data.draw(weights), data.draw(weights)
+    assert rs.inner(lam, mu) == sum(
+        sum(map(mul, c, lam)) * sum(map(mul, c, mu)) for c in rs.coroot_rows)
+    w = data.draw(st.sampled_from(rs.weyl_group())).matrix
+    assert rs.inner(rs.apply(w, lam), rs.apply(w, mu)) == rs.inner(lam, mu)
+    assert rs.inner(lam, lam) > 0 or not any(lam)
+    parts = []
+    for idx, _ in rs.components:
+        def part(x):
+            return tuple(a if i in idx else 0 for i, a in enumerate(x))
+        unit = part(rs.rho)
+        scale = Fraction(rs.inner(unit, unit), oracle_inner(rs, unit, unit))
+        assert scale > 0
+        lam_c, mu_c = part(lam), part(mu)
+        assert rs.inner(lam_c, mu_c) == scale * oracle_inner(rs, lam_c, mu_c)
+        parts.append(rs.inner(lam_c, mu_c))
+    assert rs.inner(lam, mu) == sum(parts)
 
 
 @pytest.mark.parametrize("spec", SPECS + ["D4", "F4", "E6"])
@@ -270,7 +301,6 @@ def test_root_system_matches_oracles(spec):
                        if all(c == 0 or j in idx for j, c in enumerate(r.root_coords))),
                       key=lambda r: sum(r.root_coords)))
             for idx, _ in blocks),
-        "symmetrizers": oracle_symmetrizers(a),
         "cartan_det": det,
         "cartan_adjugate": adjugate,
         "height_row": tuple(map(sum, zip(*adjugate))),
@@ -283,9 +313,6 @@ def test_root_system_matches_oracles(spec):
         assert getattr(rs, name) == value, name
     assert det == determinant(a) > 0
     assert adjugate == tuple(tuple(det * x for x in row) for row in oracle_inverse(a))
-    d = rs.symmetrizers
-    assert all(d[i] * a[i][j] == d[j] * a[j][i]
-               for i in range(len(a)) for j in range(len(a)))
     assert all(r.coords == rs.apply(a, r.root_coords) for r in pos)
 
 

@@ -324,6 +324,76 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2    # s1 is not a length-0 element
 
 
+@pytest.mark.parametrize("argv", [
+    ("reduced", "A2", "s\u0661 s2"),
+    ("reduced", "A2", "s+1"),
+    ("length", "A2", "s1_0"),
+    ("kclass", "bs", "A2", "e", "s\u0661"),
+    ("verify", "A1", "--radius", "\u0661"),
+    ("verify", "A1", "--radius", "+1"),
+    ("verify", "A1", "--radius", " 1"),
+    ("verify", "A1", "--radius", "0", "--seed", "\u0663"),
+    ("verify", "A1", "--radius", "0", "--seed", "+3"),
+], ids=ascii)
+def test_integers_must_be_ascii_digits(capsys, argv):
+    """int() also reads other scripts' digits, '+', '_' and spaces.  A
+    generator id and --seed are an optional '-' and ASCII digits, --radius
+    ASCII digits; anything else exits 2 with one error line."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    if argv[0] != "verify":
+        assert err.startswith("error: bad generator token") and "\n" not in err
+
+
+def test_negative_generator_ids_and_seeds_are_accepted(capsys):
+    """s-1 is the affine generator of the second component."""
+    assert run_cli(capsys, "reduced", "A1xA1", "s-1 s1") == (0, "s-1 s1", "")
+    code, out, _ = run_cli(capsys, "verify", "A1", "--radius", "0",
+                           "--suite", "module", "--seed", "-3")
+    assert code == 0 and "seed -3" in out
+
+
+def test_kclass_nabla_is_the_basis_class(capsys):
+    assert run_cli(capsys, "kclass", "nabla", "A2", "[2,-3]") == (0, "m[2,-3]", "")
+    code, out, _ = run_cli(capsys, "kclass", "nabla", "A2", "[2,-3]", "--json")
+    assert (code, json.loads(out)) == (0, [{"poly": [[0, 1]], "weight": [2, -3]}])
+
+
+def test_kclass_bs_refuses_a_non_generator_token(capsys):
+    assert run_cli(capsys, "kclass", "bs", "A2", "e", "t1") == (
+        2, "", "error: expected a generator token, got 't1'")
+
+
+@pytest.mark.parametrize("record", [
+    {"weight": [-1, 0], "count": 1}, {"weight": [1, 0], "count": -1}],
+    ids=["non-dominant", "negative"])
+def test_character_non_dominant_weight_or_negative_count_exits_2(
+        tmp_path, capsys, record):
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps({"basis": "Weyl", "mults": [record]}))
+    for argv in (("tilt", "std", "A2", str(path), "[0,0]"),
+                 ("reconcile", "A2", str(path)),
+                 ("tilt", "dominant", "A2", "[1,1]", "--tilt-char", str(path))):
+        assert run_cli(capsys, *argv) == (2, "", (
+            "error: character multisets need dominant keys and nonnegative "
+            "counts")), argv[:2]
+
+
+@pytest.mark.parametrize("before, after", [
+    (("--json", "theta", "A1", "[-1]"), ("theta", "A1", "[-1]", "--json")),
+    (("tilt", "--json", "dominant", "A1", "[1]"),
+     ("tilt", "dominant", "A1", "[1]", "--json")),
+], ids=["top", "tilt"])
+def test_global_flags_before_the_sub_command(capsys, before, after):
+    """The common options are accepted at every level of the parser."""
+    outs = []
+    for argv in (before, after):
+        assert cli.run(list(argv)) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] and outs[0].out.startswith("[{")
+
+
 def test_console_script_installed():
     proc = run_cli_process("kclass", "bs", "A1", "omega", "s1")
     assert proc.returncode == 0
@@ -362,7 +432,7 @@ def test_omega_argument_matches_the_omega_closure(spec):
     rs = build_root_system(spec)
     expect = _omega_from_the_closure(rs)
     if expect is None:
-        with pytest.raises(cli.CliError, match="'omega' is ambiguous"):
+        with pytest.raises(ValueError, match="'omega' is ambiguous"):
             cli.parse_omega_arg(rs, "omega")
     else:
         assert cli.parse_omega_arg(rs, "omega") == expect

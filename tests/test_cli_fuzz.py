@@ -20,8 +20,8 @@ WEIGHTS = st.one_of(
                      "null", "[1, 2, 3, 4]", '"[1]"']),
 )
 ELEMENT_TOKENS = st.sampled_from(
-    ["e", "s0", "s1", "s2", "s-1", "s9", "sx", "t[1,0]", "t[-1]", "t[1.5]",
-     "o[1]", "o[0,1]", "o[x]", "q", "*"])
+    ["e", "s0", "s1", "s2", "s-1", "s9", "sx", "s\u0661", "s+1", "t[1,0]",
+     "t[-1]", "t[1.5]", "o[1]", "o[0,1]", "o[x]", "q", "*"])
 ELEMENTS = st.lists(ELEMENT_TOKENS, max_size=4).map(" ".join)
 RADII = st.sampled_from(["0", "1", "-1", "x", "1.0"])
 SUITES = st.sampled_from(["bernstein", "module", "order", "anchors", "all",
